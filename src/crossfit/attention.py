@@ -21,8 +21,7 @@ from . import autodiff as ad
 from .autodiff import ContractError, ShapeError, Tensor
 
 __all__ = [
-    "CfaConfig", "FundusMask", "fundus_mask", "masks_from_features",
-    "project_sequence", "masked_mha", "MultiHeadAttention", "CfaLayer",
+    "CfaConfig", "masks_from_features", "MultiHeadAttention", "CfaLayer",
     "CfaStack", "AttentionRecord", "export_attention_record",
 ]
 
@@ -52,12 +51,6 @@ class CfaConfig:
         return self.d_t // self.heads
 
 
-@dataclass
-class FundusMask:
-    bits: np.ndarray  # (l,) of {0.,1.}
-    threshold: float
-
-
 def _normalize_means(means: np.ndarray) -> np.ndarray:
     """Per-image min-max to [0,1]; a constant map normalizes to all ones so
     no field can end up fully masked."""
@@ -72,31 +65,14 @@ def _normalize_means(means: np.ndarray) -> np.ndarray:
     return norm
 
 
-def fundus_mask(fm, p: float) -> FundusMask:
-    """Threshold the min-max-normalized channel-mean activation map."""
-    if not (0.0 <= p <= 1.0):
-        raise ContractError(f"threshold {p} outside [0,1]")
-    values = fm.values.data if isinstance(fm.values, Tensor) else np.asarray(fm.values)
-    means = values.mean(axis=2).reshape(-1)  # row-major flatten
-    norm = _normalize_means(means)
-    return FundusMask((norm >= p).astype(np.float64), p)
-
-
 def masks_from_features(feat: np.ndarray, p: float) -> np.ndarray:
-    """Batched mask bits (n, l) from channels-last feature values (n,h,w,d)."""
+    """Mask bits (n, l) from channels-last feature values (n,h,w,d): threshold
+    the min-max-normalized channel-mean activation map, row-major flattened."""
     if not (0.0 <= p <= 1.0):
         raise ContractError(f"threshold {p} outside [0,1]")
     n = feat.shape[0]
     means = feat.mean(axis=3).reshape(n, -1)
     return (_normalize_means(means) >= p).astype(feat.dtype)
-
-
-def project_sequence(fm, proj: ad.Linear) -> Tensor:
-    """Row-major flatten (h,w,d_e) -> (l,d_e), then the learned affine to d_t."""
-    values = fm.values if isinstance(fm.values, Tensor) else Tensor(fm.values)
-    h, w, d_e = values.shape
-    flat = ad.reshape(values, (h * w, d_e))
-    return proj(flat)
 
 
 def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray | None:
@@ -153,16 +129,6 @@ class MultiHeadAttention:
         return self.wo(merged)
 
 
-def masked_mha(f: Tensor, mask: np.ndarray | None, params: MultiHeadAttention) -> Tensor:
-    """Single-sequence (2l, d_t) wrapper over the batched attention core."""
-    if f.ndim != 2:
-        raise ShapeError(f"expected (tokens, width), got {f.shape}")
-    lifted = ad.reshape(f, (1,) + f.shape)
-    m = None if mask is None else np.asarray(mask)[None, :]
-    out = params(lifted, m)
-    return ad.reshape(out, f.shape)
-
-
 class CfaLayer:
     """Pre-LN block: F' = G + MLP(LN(G)), G = F + MHA(LN(F), mask)."""
 
@@ -190,8 +156,8 @@ class CfaLayer:
 
 @dataclass
 class AttentionRecord:
-    """Post-softmax weights captured at inference, one (heads, 2l, 2l) array
-    per layer (leading batch axis when captured batched)."""
+    """Post-softmax weights captured at inference, one (b, heads, 2l, 2l)
+    array per layer."""
 
     layers: list = field(default_factory=list)
 
@@ -212,13 +178,9 @@ class CfaStack:
                  record: bool = False) -> tuple[Tensor, Tensor, AttentionRecord | None]:
         if f1.shape != f2.shape:
             raise ShapeError(f"field sequences disagree: {f1.shape} vs {f2.shape}")
-        if f1.shape[-1] != self.cfg.d_t:
-            raise ShapeError(f"sequence width {f1.shape[-1]} != configured {self.cfg.d_t}")
-        squeeze = f1.ndim == 2
-        if squeeze:
-            f1 = ad.reshape(f1, (1,) + f1.shape)
-            f2 = ad.reshape(f2, (1,) + f2.shape)
-        l = f1.shape[1]
+        if f1.ndim != 3 or f1.shape[-1] != self.cfg.d_t:
+            raise ShapeError(f"field sequences must be (b, l, {self.cfg.d_t}), got {f1.shape}")
+        b, l, _ = f1.shape
 
         def with_pe(f, pe):
             if pe is None:
@@ -233,21 +195,15 @@ class CfaStack:
         elif m1 is None or m2 is None:
             raise ContractError("either both field masks or neither")
         else:
-            m1 = np.atleast_2d(np.asarray(m1))
-            m2 = np.atleast_2d(np.asarray(m2))
-            if m1.shape[1] != l or m2.shape[1] != l:
-                raise ShapeError(f"mask lengths {m1.shape[1]}/{m2.shape[1]} != {l} tokens")
+            m1, m2 = np.asarray(m1), np.asarray(m2)
+            if m1.shape != (b, l) or m2.shape != (b, l):
+                raise ShapeError(f"mask shapes {m1.shape}/{m2.shape} != ({b}, {l})")
             mask = np.concatenate([m1, m2], axis=1)
         rec = AttentionRecord() if record else None
         captured = rec.layers if record else None
         for layer in self.layers:
             x = layer(x, mask, captured)
-        g1 = x[:, :l]
-        g2 = x[:, l:]
-        if squeeze:
-            g1 = ad.reshape(g1, g1.shape[1:])
-            g2 = ad.reshape(g2, g2.shape[1:])
-        return g1, g2, rec
+        return x[:, :l], x[:, l:], rec
 
 
 def export_attention_record(rec: AttentionRecord, out_dir: str,

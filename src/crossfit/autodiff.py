@@ -532,13 +532,12 @@ def check_conv2d_geometry(k: int, stride: int, pad: int) -> None:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation: x (c_in,H,W) or (n,c_in,H,W), w (c_out,c_in,k,k).
+    """2-D cross-correlation: x (n,c_in,H,W), w (c_out,c_in,k,k).
 
     An even kernel k is accepted only as a patch tiling, stride == k and
     pad == 0 (see `check_conv2d_geometry`); otherwise ContractError.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d wants (n,c,H,W) and (c_out,c_in,k,k), got {x.shape}, {w.shape}")
     n, c_in, h, wdt = xd.shape
@@ -557,8 +556,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out = (wmat @ cols).reshape(n, c_out, ho, wo)
 
     def bw(g):
-        gd = g[None] if squeeze else g
-        gmat = gd.reshape(n, c_out, ho * wo)
+        gmat = g.reshape(n, c_out, ho * wo)
         gw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
         gcols = wmat.T @ gmat                                   # (n, ckk, howo)
         gcols = gcols.reshape(n, c_in, k, k, ho, wo)
@@ -567,9 +565,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             for kj in range(k):
                 gxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += gcols[:, :, ki, kj]
         gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
-        return (gx[0] if squeeze else gx), gw
+        return gx, gw
 
-    return _record(out[0] if squeeze else out, (x, w), bw)
+    return _record(out, (x, w), bw)
 
 
 # ---------------------------------------------------------------------------

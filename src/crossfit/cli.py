@@ -25,14 +25,13 @@ from . import synthdata as sd
 from .attention import CfaConfig, MultiHeadAttention, export_attention_record
 from .autodiff import ContractError, Tensor
 from .encoder import EncoderConfig
-from .geometry import (RelCoord, align_grid, aligned_position_embeddings,
-                       downsample_grid, regular_grid, regular_position_embedding,
-                       sinusoidal_pe)
+from .geometry import (aligned_position_embeddings, field1_grid, regular_coords,
+                       regular_position_embedding, sinusoidal_pe)
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
-from .train_eval import (CheckpointError, MetricsReport, TrainConfig,
-                         TrainingDiverged, build_model_from_checkpoint, evaluate,
-                         load_checkpoint, quadratic_weighted_kappa, roc_auc_ovr,
-                         save_checkpoint, train)
+from .train_eval import (CheckpointError, TrainConfig, TrainingDiverged,
+                         build_model_from_checkpoint, evaluate, load_checkpoint,
+                         quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint,
+                         train)
 
 
 class UsageError(ValueError):
@@ -57,7 +56,6 @@ _DEFAULTS = {
     "model.pe_mode": "aligned",
     "model.mask": True,
     "model.num_classes": 5,
-    "model.grid_size": None,
     "train.lr": 0.01,
     "train.momentum": 0.9,
     "train.weight_decay": 1e-4,
@@ -126,8 +124,7 @@ def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
             strategy=cfg["model.strategy"],
             pe_mode=cfg["model.pe_mode"],
             mask_enabled=cfg["model.mask"],
-            num_classes=cfg["model.num_classes"],
-            grid_size=cfg["model.grid_size"])
+            num_classes=cfg["model.num_classes"])
         train_cfg = TrainConfig(
             lr=cfg["train.lr"], momentum=cfg["train.momentum"],
             weight_decay=cfg["train.weight_decay"],
@@ -165,17 +162,6 @@ def _g6(x):
 
 def _emit(obj: dict) -> None:
     print(json.dumps(_g6(obj)))
-
-
-def _report_dict(m: MetricsReport) -> dict:
-    return {
-        "kappa": m.kappa,
-        "accuracy": m.accuracy,
-        "macro_auc": m.macro_auc,
-        "per_class_auc": list(m.per_class_auc),
-        "confusion": m.confusion.tolist(),
-        "n_samples": m.n_samples,
-    }
 
 
 def _load_split(data_dir: str, num_classes: int, frac: float):
@@ -257,7 +243,7 @@ def cmd_eval(args) -> int:
         if args.subset != "all":
             train_part, test_part = data.train_test_split(args.train_frac)
             data = train_part if args.subset == "train" else test_part
-        report = _report_dict(evaluate(model, data))
+        report = evaluate(model, data).to_dict()
     report["subset"] = args.subset
     report["data"] = args.data
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -324,6 +310,12 @@ def _mean(vals):
     return float(np.mean(vals)) if vals else None
 
 
+def _mean_metrics(cells: list) -> dict:
+    """Seed-averaged metrics of a group of cells, None where none is defined."""
+    return {k: _mean(c[k] for c in cells)
+            for k in ("kappa", "accuracy", "macro_auc", "split_acc")}
+
+
 def cmd_compare(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
@@ -340,11 +332,7 @@ def cmd_compare(args) -> int:
     rows = []
     for s in strategies:
         own = [c for c in cells if c["strategy"] == s]
-        rows.append({"strategy": s,
-                     "kappa": _mean(c["kappa"] for c in own),
-                     "accuracy": _mean(c["accuracy"] for c in own),
-                     "macro_auc": _mean(c["macro_auc"] for c in own),
-                     "split_acc": _mean(c["split_acc"] for c in own)})
+        rows.append({"strategy": s, **_mean_metrics(own)})
     table = {"seeds": seeds, "rows": rows, "cells": cells}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
@@ -382,11 +370,7 @@ def cmd_sweep(args) -> int:
         cfg = dict(base)
         cfg["cfa.threshold"] = p
         cells = _run_cells([(args.data, cfg, cfg["model.strategy"], s) for s in seeds])
-        rows.append({"threshold": p,
-                     "kappa": _mean(c["kappa"] for c in cells),
-                     "accuracy": _mean(c["accuracy"] for c in cells),
-                     "macro_auc": _mean(c["macro_auc"] for c in cells),
-                     "split_acc": _mean(c["split_acc"] for c in cells)})
+        rows.append({"threshold": p, **_mean_metrics(cells)})
     table = {"seeds": seeds, "strategy": base["model.strategy"], "rows": rows}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
@@ -436,17 +420,14 @@ def cmd_inspect(args) -> int:
                        "enabled": model.cfg.mask_enabled}, fh)
         mask_paths.append(path)
 
+    # the grids the model embeds: field 1 aligned onto field 2's regular grid
     side = model.cfg.encoder.feature_side
-    big = model.cfg.image_grid_side
-    od1 = RelCoord(float(data.od1[i, 0]), float(data.od1[i, 1]))
-    od2 = RelCoord(float(data.od2[i, 0]), float(data.od2[i, 1]))
-    g1 = downsample_grid(regular_grid(big, big), side, side)
-    g2 = downsample_grid(align_grid(regular_grid(big, big), od1, od2), side, side)
+    offset, field1 = field1_grid(data.od1[i:i + 1], data.od2[i:i + 1], side)
     grid_path = os.path.join(args.out, "grids.json")
     with open(grid_path, "w", encoding="utf-8") as fh:
-        json.dump(_g6({"offset": g2.offset.tolist(),
-                       "field1": g1.coords.tolist(),
-                       "field2": g2.coords.tolist()}), fh)
+        json.dump(_g6({"offset": offset[0].tolist(),
+                       "field1": field1[0].tolist(),
+                       "field2": regular_coords(side).tolist()}), fh)
 
     # per-token mass flowing from field-1 queries onto each field-2 key,
     # averaged over layers and heads
@@ -557,25 +538,19 @@ def _verify_mask_exactness() -> tuple[bool, str]:
 
 def _verify_geometry() -> tuple[bool, str]:
     rng = ad.make_rng(4)
+    reg = regular_position_embedding(4, 16)
     for _ in range(20):
-        od1 = RelCoord(float(rng.random()), float(rng.random()))
-        od2 = RelCoord(float(rng.random()), float(rng.random()))
-        g = regular_grid(16, 16)
-        aligned = align_grid(g, od1, od2)
-        want = np.array([2.0 * (od2.x - od1.x), 2.0 * (od2.y - od1.y)])
+        od1, od2 = rng.random((1, 2)), rng.random((1, 2))
+        offset, coords = field1_grid(od1, od2, 4)
+        want = np.array([2.0 * (od2[0, 0] - od1[0, 0]), 2.0 * (od2[0, 1] - od1[0, 1])])
         if _fault("geometry"):
             want = want + 0.5
-        if not np.array_equal(aligned.offset, want):
-            return False, f"offset mismatch: got {aligned.offset}, want {want}"
-        if not np.array_equal(aligned.coords, g.coords + want[None, None, :]):
+        if not np.array_equal(offset[0], want):
+            return False, f"offset mismatch: got {offset[0]}, want {want}"
+        if not np.array_equal(coords[0], regular_coords(4) + want[None, None, :]):
             return False, "aligned coordinates are not regular plus the offset"
-        coarse = downsample_grid(aligned, 4, 4)
-        ref = align_grid(regular_grid(4, 4), od1, od2)
-        if np.abs(coarse.coords - ref.coords).max() > 1e-12:
-            return False, "downsampled aligned grid disagrees with coarse+offset"
-        same = aligned_position_embeddings(od1, od1, 16, 16, 4, 4, 16)
-        reg = regular_position_embedding(4, 4, 16)
-        if not (np.array_equal(same[0], reg) and np.array_equal(same[1], reg)):
+        same = aligned_position_embeddings(od1, od1, 4, 16)
+        if not (np.array_equal(same[0][0], reg) and np.array_equal(same[1], reg)):
             return False, "identical landmarks do not reduce to the regular embedding"
     pos = np.array([[[0.25, 0.75], [0.9, 0.75]]])        # one row, two cells
     pe = sinusoidal_pe(pos, 8)

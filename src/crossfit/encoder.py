@@ -1,26 +1,23 @@
 """Small strided CNN producing per-field feature maps.
 
 Both fields go through one shared parameter set (siamese). Each stage is a
-stride-2 convolution followed by relu, so the final activations are
+convolution with its own kernel and stride (the CLI default is a single
+15x15 stage at stride 16) followed by relu, so the final activations are
 nonnegative and the downstream mask normalization lands in [0,1] without a
-special case. Feature maps are channels-last (h, w, d_e); the batched engine
-path keeps a leading batch axis.
+special case. Feature maps are channels-last (n, h, w, d_e).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, ShapeError, Tensor
 
-__all__ = ["EncoderConfig", "FeatureMap", "Encoder", "encode_stub"]
-
-MACULA_FIELD = "macula-centric"
-DISC_FIELD = "optic-disc-centric"
+__all__ = ["EncoderConfig", "Encoder"]
 
 
 @dataclass(frozen=True)
@@ -77,14 +74,8 @@ class EncoderConfig:
         return self.stage_channels[-1]
 
 
-@dataclass
-class FeatureMap:
-    values: Tensor  # (h, w, d_e)
-    source_field: str = MACULA_FIELD
-
-
 class Encoder:
-    """conv-relu stack; call with (n, 3, S, S) or (3, S, S) tensors."""
+    """conv-relu stack; call with (n, 3, S, S) tensors."""
 
     def __init__(self, rng: np.random.Generator, cfg: EncoderConfig):
         self.cfg = cfg
@@ -104,10 +95,10 @@ class Encoder:
             yield f"enc.stage{i}.b", b
 
     def __call__(self, x: Tensor) -> Tensor:
-        """(n,3,S,S) -> (n,h,w,d_e) channels-last (or unbatched equivalents)."""
+        """(n,3,S,S) -> (n,h,w,d_e) channels-last."""
         s = self.cfg.input_size
-        if x.shape[-3:] != (3, s, s):
-            raise ShapeError(f"encoder expects (...,3,{s},{s}) input, got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != (3, s, s):
+            raise ShapeError(f"encoder expects (n,3,{s},{s}) input, got {x.shape}")
         # center the [0,1] inputs; an all-positive input makes every
         # first-layer gradient row point the same way and stalls early SGD
         h = ad.add(x, Tensor(np.asarray(-0.5, dtype=ad.default_dtype())))
@@ -116,31 +107,4 @@ class Encoder:
             h = ad.conv2d(h, w, stride=st, pad=pad)
             bias = ad.reshape(b, (-1, 1, 1))
             h = ad.relu(ad.add(h, bias))
-        if h.ndim == 4:
-            return ad.transpose(h, (0, 2, 3, 1))
-        return ad.transpose(h, (1, 2, 0))
-
-    def encode_image(self, image: np.ndarray, source_field: str = MACULA_FIELD) -> FeatureMap:
-        """Single channels-last image in [0,1] -> FeatureMap."""
-        s = self.cfg.input_size
-        if image.shape != (s, s, 3):
-            raise ShapeError(f"expected ({s},{s},3) image, got {image.shape}")
-        x = Tensor(np.ascontiguousarray(np.moveaxis(image, 2, 0)))
-        return FeatureMap(self(x), source_field)
-
-
-def encode_stub(image: np.ndarray, pool_factor: int,
-                source_field: str = MACULA_FIELD) -> FeatureMap:
-    """Parameter-free stand-in: channel mean, then block average pooling.
-
-    Exactly local, so mask tests can predict every activation by hand.
-    """
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"expected (S,S,3) image, got {image.shape}")
-    s = image.shape[0]
-    if image.shape[1] != s or s % pool_factor != 0:
-        raise ShapeError(f"side {image.shape[:2]} not square or not divisible by {pool_factor}")
-    mono = image.mean(axis=2)
-    hw = s // pool_factor
-    pooled = mono.reshape(hw, pool_factor, hw, pool_factor).mean(axis=(1, 3))
-    return FeatureMap(Tensor(pooled[:, :, None]), source_field)
+        return ad.transpose(h, (0, 2, 3, 1))

@@ -1,13 +1,15 @@
-"""Coordinate grids, optic-disc translation alignment, and sinusoidal embeddings.
+"""Optic-disc translation alignment and sinusoidal position embeddings.
 
 Everything here is plain float64 numpy: position embeddings are constants of
 the geometry, never trained, so none of it touches the autodiff tape. The
 grid convention is corner-aligned: an axis with n > 1 cells spans [-1, 1]
 endpoint to endpoint; a single-cell axis sits at 0.
 
-Aligned grids are pure translations of regular grids. A Grid carries its
-accumulated per-axis offset explicitly, so translation-related checks can be
-stated exactly instead of through floating-point subtraction.
+The paper aligns field 1's coordinate grid at image resolution, translating
+it by the optic-disc displacement, then bilinearly downsamples it to the
+feature map. Bilinear interpolation reproduces a translated regular grid
+exactly, so the recipe collapses to the coarse regular grid plus one offset
+per eye, which is what `field1_grid` computes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import numpy as np
 from .autodiff import ContractError, ShapeError
 
 __all__ = [
-    "RelCoord", "Grid", "regular_grid", "align_grid", "downsample_grid",
-    "denormalize", "sinusoidal_pe", "aligned_position_embeddings",
-    "regular_position_embedding",
+    "RelCoord", "regular_coords", "field1_grid", "sinusoidal_pe",
+    "aligned_position_embeddings", "regular_position_embedding",
 ]
 
 
@@ -37,86 +38,49 @@ class RelCoord:
             raise ContractError(f"relative coordinate ({self.x}, {self.y}) outside [0,1]^2")
 
 
-class Grid:
-    """H x W x 2 coordinate field: channel 0 is x (columns), channel 1 is y (rows)."""
-
-    __slots__ = ("coords", "aligned", "offset")
-
-    def __init__(self, coords: np.ndarray, aligned: bool, offset: np.ndarray):
-        self.coords = coords
-        self.aligned = aligned
-        self.offset = offset  # (2,): the translation applied on top of regular
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.coords.shape[0], self.coords.shape[1]
-
-
-def _axis_coords(n: int) -> np.ndarray:
-    if n < 1:
-        raise ContractError(f"grid extent must be >= 1, got {n}")
-    if n == 1:
-        return np.zeros(1)
-    return np.linspace(-1.0, 1.0, n)
-
-
-def _regular_coords(h: int, w: int) -> np.ndarray:
-    xs = _axis_coords(w)
-    ys = _axis_coords(h)
-    coords = np.empty((h, w, 2))
-    coords[:, :, 0] = xs[None, :]
-    coords[:, :, 1] = ys[:, None]
+def regular_coords(side: int) -> np.ndarray:
+    """side x side x 2 corner-aligned grid: channel 0 is x (columns), channel 1 is y (rows)."""
+    if side < 1:
+        raise ContractError(f"grid extent must be >= 1, got {side}")
+    axis = np.zeros(1) if side == 1 else np.linspace(-1.0, 1.0, side)
+    coords = np.empty((side, side, 2))
+    coords[:, :, 0] = axis[None, :]
+    coords[:, :, 1] = axis[:, None]
     return coords
 
 
-def regular_grid(h: int, w: int) -> Grid:
-    return Grid(_regular_coords(h, w), aligned=False, offset=np.zeros(2))
+def field1_grid(od1: np.ndarray, od2: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Field 1's translation and normalized coordinates for a batch of eyes.
 
-
-def align_grid(g: Grid, od_fixed: RelCoord, od_moving: RelCoord) -> Grid:
-    """Translate by twice the optic-disc displacement.
-
-    The factor 2 converts a displacement in [0,1] relative units to the
-    [-1,1] span of the grid. Offsets accumulate, so aligning an already
-    aligned grid composes translations. Coordinates may leave [-1,1].
+    od1, od2: (b, 2) optic-disc centers (x, y) relative to each field's
+    extent, in [0, 1]. Returns the (b, 2) offset 2·(od2 − od1) and the
+    (b, side, side, 2) regular grid carrying it. The factor 2 converts a
+    displacement in [0,1] relative units to the [-1,1] span of the grid.
+    Coordinates may leave [-1,1].
     """
-    delta = np.array([2.0 * (od_moving.x - od_fixed.x),
-                      2.0 * (od_moving.y - od_fixed.y)])
-    offset = g.offset + delta
-    h, w = g.shape
-    coords = _regular_coords(h, w) + offset[None, None, :]
-    return Grid(coords, aligned=True, offset=offset)
+    od1 = np.asarray(od1, dtype=np.float64)
+    od2 = np.asarray(od2, dtype=np.float64)
+    if od1.ndim != 2 or od1.shape[1] != 2 or od1.shape != od2.shape:
+        raise ShapeError(f"disc centers must be two equal (b, 2) arrays, "
+                         f"got {od1.shape} and {od2.shape}")
+    for od in (od1, od2):
+        if not ((od >= 0.0) & (od <= 1.0)).all():
+            raise ContractError(f"relative coordinates outside [0,1]^2: {od}")
+    offset = 2.0 * (od2 - od1)
+    return offset, regular_coords(side) + offset[:, None, None, :]
 
 
-def downsample_grid(g: Grid, h: int, w: int) -> Grid:
-    """Bilinear resample of the coordinate field at corner-aligned targets.
-
-    Every grid here is regular-plus-translation, and bilinear interpolation
-    reproduces affine fields exactly, so the resample collapses to the
-    closed form: the coarse regular grid carrying the same offset.
-    """
-    H, W = g.shape
-    if h > H or w > W:
-        raise ShapeError(f"cannot downsample {H}x{W} grid to {h}x{w}")
-    coords = _regular_coords(h, w) + g.offset[None, None, :]
-    return Grid(coords, aligned=g.aligned, offset=g.offset.copy())
-
-
-def denormalize(g: Grid) -> np.ndarray:
-    """Map normalized coordinates to positions in [0, extent-1] per axis.
+def _positions(coords: np.ndarray, side: int) -> np.ndarray:
+    """Map normalized coordinates to positions in [0, side-1] per axis.
 
     Out-of-range coordinates of aligned grids produce out-of-range positions;
     the sinusoids downstream accept any real, so nothing is clamped.
     """
-    h, w = g.shape
-    pos = np.empty_like(g.coords)
-    pos[:, :, 0] = (g.coords[:, :, 0] + 1.0) / 2.0 * (w - 1)
-    pos[:, :, 1] = (g.coords[:, :, 1] + 1.0) / 2.0 * (h - 1)
-    return pos
+    return (coords + 1.0) / 2.0 * (side - 1)
 
 
 def sinusoidal_pe(positions: np.ndarray, d_t: int) -> np.ndarray:
-    """Two-axis sine/cosine embedding, (h, w, 2) positions -> (h*w, d_t) rows.
+    """Two-axis sine/cosine embedding, (..., h, w, 2) positions -> (..., h*w, d_t) rows.
 
     The first d_t/2 channels encode x, the last d_t/2 encode y. Within each
     half, channel pair (2i, 2i+1) holds sin and cos of pos / 10000^(2i / (d_t/2)).
@@ -124,35 +88,34 @@ def sinusoidal_pe(positions: np.ndarray, d_t: int) -> np.ndarray:
     """
     if d_t % 4 != 0:
         raise ContractError(f"embedding width must be divisible by 4, got {d_t}")
-    if positions.ndim != 3 or positions.shape[2] != 2:
-        raise ShapeError(f"positions must be (h, w, 2), got {positions.shape}")
-    h, w, _ = positions.shape
+    if positions.ndim < 3 or positions.shape[-1] != 2:
+        raise ShapeError(f"positions must be (..., h, w, 2), got {positions.shape}")
+    *lead, h, w, _ = positions.shape
     half = d_t // 2
     freqs = np.arange(half // 2)
     inv_denom = 10000.0 ** (-2.0 * freqs / half)          # (half/2,)
-    out = np.empty((h * w, d_t))
+    out = np.empty((*lead, h * w, d_t))
     for axis, base in ((0, 0), (1, half)):
-        angles = positions[:, :, axis].reshape(-1, 1) * inv_denom[None, :]
-        out[:, base + 0:base + half:2] = np.sin(angles)
-        out[:, base + 1:base + half:2] = np.cos(angles)
+        angles = positions[..., axis].reshape(*lead, h * w, 1) * inv_denom
+        out[..., base + 0:base + half:2] = np.sin(angles)
+        out[..., base + 1:base + half:2] = np.cos(angles)
     return out
 
 
-def regular_position_embedding(h: int, w: int, d_t: int) -> np.ndarray:
-    """Embedding of the plain corner-aligned grid (both fields identical)."""
-    return sinusoidal_pe(denormalize(regular_grid(h, w)), d_t)
+def regular_position_embedding(side: int, d_t: int) -> np.ndarray:
+    """(side², d_t) embedding of the plain corner-aligned grid."""
+    return sinusoidal_pe(_positions(regular_coords(side), side), d_t)
 
 
-def aligned_position_embeddings(od1: RelCoord, od2: RelCoord, H: int, W: int,
-                                h: int, w: int, d_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-field embeddings: field 2 keeps the regular grid, field 1 gets the
-    optic-disc-aligned grid built at image resolution H x W, then downsampled
-    to the feature resolution h x w.
+def aligned_position_embeddings(od1: np.ndarray, od2: np.ndarray, side: int,
+                                d_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-field embeddings for a batch of (b, 2) disc pairs: field 1 gets the
+    optic-disc-aligned grid, (b, side², d_t); field 2 keeps the regular grid,
+    one (side², d_t) array shared by every eye.
 
-    With od1 == od2 the translation is exactly zero and the two returned
-    arrays are bit-for-bit identical.
+    With od1 == od2 the translation is exactly zero and field 1's rows are
+    bit-for-bit identical to field 2's.
     """
-    pe2 = regular_position_embedding(h, w, d_t)
-    g = align_grid(regular_grid(H, W), od1, od2)
-    pe1 = sinusoidal_pe(denormalize(downsample_grid(g, h, w)), d_t)
-    return pe1, pe2
+    _, coords = field1_grid(od1, od2, side)
+    pe1 = sinusoidal_pe(_positions(coords, side), d_t)
+    return pe1, regular_position_embedding(side, d_t)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -464,16 +465,27 @@ def write_ppm(path: str, img_u8: np.ndarray) -> None:
         fh.write(img_u8.tobytes())
 
 
+# magic, width, height, maxval: tokens separated by whitespace and '#'
+# comments (to the end of the line); one whitespace byte ends the header
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(rb"P6" + (_SEP + rb"([^\s#]+)") * 3 + rb"\s")
+
+
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
+    m = _PPM_HEADER.match(blob)
+    if m is None:
         raise DataError(f"{path}: not a binary PPM")
-    w, h = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
-        raise DataError(f"{path}: unsupported maxval {parts[2]!r}")
-    raw = parts[3][:w * h * 3]
+    try:
+        w, h, maxval = (int(v) for v in m.groups())
+    except ValueError:
+        raise DataError(f"{path}: non-integer PPM header field") from None
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad PPM extent {w}x{h}")
+    if maxval != 255:
+        raise DataError(f"{path}: unsupported maxval {maxval}")
+    raw = blob[m.end():m.end() + w * h * 3]
     if len(raw) != w * h * 3:
         raise DataError(f"{path}: truncated pixel data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)

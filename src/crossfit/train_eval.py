@@ -155,13 +155,19 @@ def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
 def metrics_from_predictions(labels: np.ndarray, grades: np.ndarray,
                              probs: np.ndarray, num_classes: int) -> MetricsReport:
     labels = np.asarray(labels, dtype=np.int64)
+    grades = np.asarray(grades, dtype=np.int64)
+    if labels.shape != grades.shape:
+        raise ContractError(f"labels {labels.shape} and grades {grades.shape} disagree")
     n = labels.size
     if n == 0:
         raise ContractError("empty evaluation set")
+    for name, v in (("labels", labels), ("grades", grades)):
+        if v.min() < 0 or v.max() >= num_classes:
+            raise ContractError(f"{name} span [{v.min()}, {v.max()}], "
+                                f"outside [0, {num_classes})")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, grades), 1)
     accuracy = float(np.trace(confusion)) / n
-    assert accuracy == float((grades == labels).mean())  # streamed consistency
     per_class = []
     for c in range(num_classes):
         auc = roc_auc_ovr(probs[:, c], labels == c)
@@ -270,7 +276,6 @@ def model_config_to_dict(cfg: CrossFiTConfig) -> dict:
         "pe_mode": cfg.pe_mode,
         "mask_enabled": cfg.mask_enabled,
         "num_classes": cfg.num_classes,
-        "grid_size": cfg.grid_size,
     }
 
 
@@ -279,6 +284,8 @@ def _int_or_tuple(v) -> int | tuple[int, ...]:
 
 
 def model_config_from_dict(d: dict) -> CrossFiTConfig:
+    """Inverse of `model_config_to_dict`; keys it does not read are ignored,
+    so checkpoints carrying since-removed config fields still load."""
     enc = d["encoder"]
     cfa = d["cfa"]
     return CrossFiTConfig(
@@ -290,8 +297,7 @@ def model_config_from_dict(d: dict) -> CrossFiTConfig:
                       mlp_ratio=cfa["mlp_ratio"], threshold=cfa["threshold"],
                       zero_init_out=cfa.get("zero_init_out", False)),
         strategy=d["strategy"], pe_mode=d["pe_mode"],
-        mask_enabled=d["mask_enabled"], num_classes=d["num_classes"],
-        grid_size=d.get("grid_size"))
+        mask_enabled=d["mask_enabled"], num_classes=d["num_classes"])
 
 
 @dataclass
@@ -341,7 +347,10 @@ class Checkpoint:
 
 def build_model_from_checkpoint(ckpt: Checkpoint,
                                 rng: np.random.Generator | None = None) -> CrossFiTModel:
-    cfg = model_config_from_dict(ckpt.config["model"])
+    try:
+        cfg = model_config_from_dict(ckpt.config["model"])
+    except (KeyError, TypeError, ContractError) as err:
+        raise CheckpointError(f"checkpoint holds no valid model config ({err!r})") from None
     model = CrossFiTModel(rng or ad.make_rng(0), cfg)
     ckpt.restore(model)
     return model
@@ -381,19 +390,24 @@ def load_checkpoint(path: str) -> Checkpoint:
     header_end = 10 + header_len
     if len(blob) < header_end:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob[10:header_end].decode("utf-8"))
+    try:
+        header = json.loads(blob[10:header_end].decode("utf-8"))
+        config, payload_bytes = header["config"], header["payload_bytes"]
+        step = header["train_state"]["step"]
+        index = [(e["name"], tuple(e["shape"]), e["offset"], e["length"])
+                 for e in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as err:
+        # ValueError covers undecodable UTF-8 and malformed JSON
+        raise CheckpointError(f"{path}: corrupt header ({err!r})") from None
     payload = blob[header_end:]
-    if len(payload) != header["payload_bytes"]:
+    if len(payload) != payload_bytes:
         raise CheckpointError(
-            f"{path}: truncated payload ({len(payload)} of "
-            f"{header['payload_bytes']} bytes)")
+            f"{path}: truncated payload ({len(payload)} of {payload_bytes} bytes)")
     tensors = OrderedDict()
-    for entry in header["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        off, length = entry["offset"], entry["length"]
+    for name, shape, off, length in index:
         expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
         if length != expected or off + length > len(payload):
             raise CheckpointError(f"{path}: corrupt index entry for tensor {name}")
         tensors[name] = np.frombuffer(
             payload[off:off + length], dtype="<f4").reshape(shape).copy()
-    return Checkpoint(header["config"], tensors, header["train_state"]["step"])
+    return Checkpoint(config, tensors, step)

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, ShapeError, Tensor, gradcheck, make_rng, no_grad
 from crossfit.attention import (
-    AttentionRecord, CfaConfig, CfaLayer, CfaStack, FundusMask,
-    MultiHeadAttention, export_attention_record, fundus_mask, masked_mha,
-    masks_from_features, project_sequence,
+    AttentionRecord, CfaConfig, CfaLayer, CfaStack, MultiHeadAttention,
+    export_attention_record, masks_from_features,
 )
-from crossfit.encoder import FeatureMap, encode_stub
+from crossfit.encoder import EncoderConfig
+from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 def toy_cfg(**kw):
@@ -27,36 +27,33 @@ def toy_cfg(**kw):
 
 
 def test_mask_threshold_zero_all_ones():
-    fm = FeatureMap(Tensor(make_rng(0).uniform(size=(3, 3, 4))))
-    m = fundus_mask(fm, 0.0)
-    np.testing.assert_array_equal(m.bits, np.ones(9))
+    feats = make_rng(0).uniform(size=(1, 3, 3, 4))
+    np.testing.assert_array_equal(masks_from_features(feats, 0.0), np.ones((1, 9)))
 
 
 def test_mask_constant_map_all_ones():
-    fm = FeatureMap(Tensor(np.full((2, 2, 3), 0.7)))
-    m = fundus_mask(fm, 0.9)
-    np.testing.assert_array_equal(m.bits, np.ones(4))
+    feats = np.full((1, 2, 2, 3), 0.7)
+    np.testing.assert_array_equal(masks_from_features(feats, 0.9), np.ones((1, 4)))
 
 
-def test_mask_zero_corner_from_stub():
+def test_mask_zero_corner_from_stub(encode_stub):
     img = np.full((8, 8, 3), 0.9)
     img[:4, :4] = 0.0
-    m = fundus_mask(encode_stub(img, 4), 0.06)
-    np.testing.assert_array_equal(m.bits, [0.0, 1.0, 1.0, 1.0])
+    m = masks_from_features(encode_stub(img, 4)[None], 0.06)
+    np.testing.assert_array_equal(m, [[0.0, 1.0, 1.0, 1.0]])
 
 
 def test_mask_threshold_range_contract():
-    fm = FeatureMap(Tensor(np.ones((2, 2, 1))))
     with pytest.raises(ContractError):
-        fundus_mask(fm, 1.5)
+        masks_from_features(np.ones((1, 2, 2, 1)), 1.5)
 
 
 def test_masks_from_features_matches_single():
     feats = make_rng(1).uniform(size=(4, 3, 3, 5))
     batched = masks_from_features(feats, 0.3)
     for i in range(4):
-        single = fundus_mask(FeatureMap(Tensor(feats[i])), 0.3)
-        np.testing.assert_array_equal(batched[i], single.bits)
+        single = masks_from_features(feats[i:i + 1], 0.3)
+        np.testing.assert_array_equal(batched[i], single[0])
 
 
 def test_masks_from_features_constant_row():
@@ -70,35 +67,47 @@ def test_masks_from_features_constant_row():
 # sequence projection
 
 
+def projecting_model(rng, d_e: int, d_t: int = 4) -> CrossFiTModel:
+    """A crossfit model whose projection maps d_e encoder channels to d_t."""
+    cfg = CrossFiTConfig(encoder=EncoderConfig(stage_channels=(d_e,), input_size=4),
+                         cfa=CfaConfig(layers=0, heads=1, d_t=d_t))
+    return CrossFiTModel(rng, cfg)
+
+
+def to_tokens(model, feats: Tensor) -> Tensor:
+    """The model's path from (b,h,w,d_e) features to (b,l,d_t) tokens."""
+    return model.proj(model._flatten(feats))
+
+
 def test_project_identity_is_flatten():
     rng = make_rng(3)
-    fm = FeatureMap(Tensor(rng.uniform(size=(2, 3, 4))))
-    proj = ad.Linear(rng, 4, 4)
-    proj.w.data[:] = np.eye(4)
-    proj.b.data[:] = 0.0
-    seq = project_sequence(fm, proj)
-    np.testing.assert_array_equal(seq.data, fm.values.data.reshape(6, 4))
+    feats = Tensor(rng.uniform(size=(1, 2, 3, 4)))
+    model = projecting_model(rng, 4)
+    model.proj.w.data[:] = np.eye(4)
+    model.proj.b.data[:] = 0.0
+    seq = to_tokens(model, feats)
+    np.testing.assert_array_equal(seq.data, feats.data.reshape(1, 6, 4))
 
 
 def test_project_row_major_hand_values():
-    fm = FeatureMap(Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]])))
-    proj = ad.Linear(make_rng(0), 1, 1)
-    proj.w.data[:] = [[2.0]]
-    proj.b.data[:] = 0.0
-    seq = project_sequence(fm, proj)
-    np.testing.assert_array_equal(seq.data, [[2.0], [4.0], [6.0], [8.0]])
+    feats = Tensor(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
+    model = projecting_model(make_rng(0), 1)
+    model.proj.w.data[:] = [[2.0, 0.0, 0.0, 0.0]]
+    model.proj.b.data[:] = 0.0
+    seq = to_tokens(model, feats)
+    np.testing.assert_array_equal(seq.data[..., :1], [[[2.0], [4.0], [6.0], [8.0]]])
 
 
 def test_project_gradcheck():
     rng = make_rng(4)
-    vals = ad.parameter(rng.normal(size=(2, 2, 3)))
-    proj = ad.Linear(rng, 3, 5)
-    c = Tensor(rng.normal(size=(4, 5)))
+    vals = ad.parameter(rng.normal(size=(1, 2, 2, 3)))
+    model = projecting_model(rng, 3, d_t=8)
+    c = Tensor(rng.normal(size=(1, 4, 8)))
 
     def fn():
-        return ad.sum_(ad.mul(project_sequence(FeatureMap(vals), proj), c))
+        return ad.sum_(ad.mul(to_tokens(model, vals), c))
 
-    assert gradcheck(fn, [vals, proj.w, proj.b], eps=1e-5) < 1e-4
+    assert gradcheck(fn, [vals, model.proj.w, model.proj.b], eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +117,10 @@ def test_project_gradcheck():
 def test_all_ones_mask_equals_unmasked_bitwise():
     cfg = toy_cfg()
     mha = MultiHeadAttention(make_rng(5), cfg)
-    f = Tensor(make_rng(6).normal(size=(4, 8)))
+    f = Tensor(make_rng(6).normal(size=(1, 4, 8)))
     with no_grad():
-        masked = masked_mha(f, np.ones(4), mha)
-        plain = masked_mha(f, None, mha)
+        masked = mha(f, np.ones((1, 4)))
+        plain = mha(f, None)
     assert masked.data.tobytes() == plain.data.tobytes()
 
 
@@ -176,13 +185,13 @@ def test_masked_mha_gradcheck():
     cfg = toy_cfg(heads=2)
     rng = make_rng(12)
     mha = MultiHeadAttention(rng, cfg)
-    f = ad.parameter(rng.normal(size=(3, 8)))
-    mask = np.array([1.0, 0.0, 1.0])
-    c = Tensor(rng.normal(size=(3, 8)))
+    f = ad.parameter(rng.normal(size=(1, 3, 8)))
+    mask = np.array([[1.0, 0.0, 1.0]])
+    c = Tensor(rng.normal(size=(1, 3, 8)))
     params = [f] + [t for _, t in mha.parameters()]
 
     def fn():
-        return ad.sum_(ad.mul(masked_mha(f, mask, mha), c))
+        return ad.sum_(ad.mul(mha(f, mask), c))
 
     assert gradcheck(fn, params, eps=1e-5) < 1e-4
 
@@ -229,10 +238,10 @@ def test_stack_zero_layers_adds_embeddings():
     cfg = toy_cfg(layers=0)
     stack = CfaStack(make_rng(17), cfg)
     rng = make_rng(18)
-    f1 = Tensor(rng.normal(size=(4, 8)))
-    f2 = Tensor(rng.normal(size=(4, 8)))
-    pe1 = rng.normal(size=(4, 8))
-    pe2 = rng.normal(size=(4, 8))
+    f1 = Tensor(rng.normal(size=(1, 4, 8)))
+    f2 = Tensor(rng.normal(size=(1, 4, 8)))
+    pe1 = rng.normal(size=(1, 4, 8))
+    pe2 = rng.normal(size=(4, 8))     # one embedding shared across the batch
     g1, g2, _ = stack(f1, f2, pe1, pe2, None, None)
     np.testing.assert_array_equal(g1.data, f1.data + pe1)
     np.testing.assert_array_equal(g2.data, f2.data + pe2)
@@ -242,9 +251,9 @@ def test_stack_identical_fields_symmetric():
     cfg = toy_cfg(layers=2)
     stack = CfaStack(make_rng(19), cfg)
     rng = make_rng(20)
-    vals = rng.normal(size=(4, 8))
+    vals = rng.normal(size=(1, 4, 8))
     pe = rng.normal(size=(4, 8))
-    ones = np.ones(4)
+    ones = np.ones((1, 4))
     with no_grad():
         g1, g2, _ = stack(Tensor(vals), Tensor(vals), pe, pe, ones, ones)
     np.testing.assert_array_equal(g1.data, g2.data)
@@ -254,10 +263,10 @@ def test_stack_field_swap_permutes_outputs():
     cfg = toy_cfg(layers=2, heads=2)
     stack = CfaStack(make_rng(21), cfg)
     rng = make_rng(22)
-    f1, f2 = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+    f1, f2 = rng.normal(size=(1, 4, 8)), rng.normal(size=(1, 4, 8))
     pe1, pe2 = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-    m1 = np.array([1.0, 1.0, 0.0, 1.0])
-    m2 = np.array([1.0, 1.0, 1.0, 0.0])
+    m1 = np.array([[1.0, 1.0, 0.0, 1.0]])
+    m2 = np.array([[1.0, 1.0, 1.0, 0.0]])
     with no_grad():
         g1, g2, _ = stack(Tensor(f1), Tensor(f2), pe1, pe2, m1, m2)
         h2, h1, _ = stack(Tensor(f2), Tensor(f1), pe2, pe1, m2, m1)
@@ -269,13 +278,13 @@ def test_stack_record_masked_columns_zero():
     cfg = toy_cfg(layers=2, heads=2)
     stack = CfaStack(make_rng(23), cfg)
     rng = make_rng(24)
-    f1, f2 = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8)))
-    m1 = np.array([1.0, 0.0, 1.0])
-    m2 = np.array([0.0, 1.0, 1.0])
+    f1, f2 = Tensor(rng.normal(size=(1, 3, 8))), Tensor(rng.normal(size=(1, 3, 8)))
+    m1 = np.array([[1.0, 0.0, 1.0]])
+    m2 = np.array([[0.0, 1.0, 1.0]])
     with no_grad():
         _, _, rec = stack(f1, f2, None, None, m1, m2, record=True)
     assert len(rec.layers) == 2
-    merged = np.concatenate([m1, m2])
+    merged = np.concatenate([m1, m2], axis=1)[0]
     for a in rec.layers:
         assert (a[..., merged == 0.0] == 0.0).all()
         np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
@@ -283,13 +292,15 @@ def test_stack_record_masked_columns_zero():
 
 def test_stack_shape_contracts():
     stack = CfaStack(make_rng(25), toy_cfg())
-    f1 = Tensor(np.ones((4, 8)))
+    f1 = Tensor(np.ones((1, 4, 8)))
     with pytest.raises(ShapeError):
-        stack(f1, Tensor(np.ones((3, 8))), None, None, None, None)
+        stack(f1, Tensor(np.ones((1, 3, 8))), None, None, None, None)
     with pytest.raises(ShapeError):
-        stack(f1, Tensor(np.ones((4, 8))), None, None, np.ones(3), np.ones(4))
+        stack(f1, Tensor(np.ones((1, 4, 8))), None, None, np.ones((1, 3)), np.ones((1, 4)))
     with pytest.raises(ContractError):
-        stack(f1, Tensor(np.ones((4, 8))), None, None, np.ones(4), None)
+        stack(f1, Tensor(np.ones((1, 4, 8))), None, None, np.ones((1, 4)), None)
+    with pytest.raises(ShapeError):          # one eye must carry its batch axis
+        stack(Tensor(np.ones((4, 8))), Tensor(np.ones((4, 8))), None, None, None, None)
 
 
 def test_cfg_contracts():

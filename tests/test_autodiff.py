@@ -103,28 +103,28 @@ def test_cross_entropy_label_range():
 
 
 def test_conv2d_ones_oracle():
-    x = tensor(np.ones((1, 5, 5)))
+    x = tensor(np.ones((1, 1, 5, 5)))
     w = tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w, stride=1, pad=1)
-    assert out.shape == (1, 5, 5)
-    assert out.data[0, 2, 2] == 9.0
-    assert out.data[0, 0, 0] == 4.0
-    assert out.data[0, 0, 2] == 6.0
+    assert out.shape == (1, 1, 5, 5)
+    assert out.data[0, 0, 2, 2] == 9.0
+    assert out.data[0, 0, 0, 0] == 4.0
+    assert out.data[0, 0, 0, 2] == 6.0
 
 
 def test_conv2d_stride_two_extent():
-    x = tensor(np.ones((3, 9, 9)))
+    x = tensor(np.ones((1, 3, 9, 9)))
     w = tensor(np.ones((4, 3, 3, 3)))
     out = ad.conv2d(x, w, stride=2, pad=1)
-    assert out.shape == (4, 5, 5)
+    assert out.shape == (1, 4, 5, 5)
 
 
 def test_conv2d_matches_direct_loops():
     rng = make_rng(11)
-    x = tensor(rng.normal(size=(2, 7, 6)))
+    x = tensor(rng.normal(size=(1, 2, 7, 6)))
     w = tensor(rng.normal(size=(3, 2, 3, 3)))
-    out = ad.conv2d(x, w, stride=2, pad=1).data
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    out = ad.conv2d(x, w, stride=2, pad=1).data[0]
+    xp = np.pad(x.data[0], ((0, 0), (1, 1), (1, 1)))
     ho, wo = out.shape[1:]
     ref = np.zeros_like(out)
     for co in range(3):
@@ -141,17 +141,19 @@ def test_conv2d_batched_agrees_with_per_image():
     w = tensor(rng.normal(size=(3, 2, 3, 3)))
     batched = ad.conv2d(tensor(xb), w, stride=2, pad=1).data
     for n in range(4):
-        single = ad.conv2d(tensor(xb[n]), w, stride=2, pad=1).data
-        np.testing.assert_array_equal(batched[n], single)
+        single = ad.conv2d(tensor(xb[n:n + 1]), w, stride=2, pad=1).data
+        np.testing.assert_array_equal(batched[n], single[0])
 
 
 def test_conv2d_contracts():
     with pytest.raises(ShapeError):
-        ad.conv2d(tensor(np.ones((2, 5, 5))), tensor(np.ones((1, 3, 3, 3))))
+        ad.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ContractError):
-        ad.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((1, 1, 2, 2))))
+        ad.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))))
     with pytest.raises(ShapeError):
-        ad.conv2d(tensor(np.ones((1, 2, 2))), tensor(np.ones((1, 1, 5, 5))))
+        ad.conv2d(tensor(np.ones((1, 1, 2, 2))), tensor(np.ones((1, 1, 5, 5))))
+    with pytest.raises(ShapeError):          # one image must carry its batch axis
+        ad.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((1, 1, 3, 3))))
 
 
 def test_maximum_tie_routes_to_first():
@@ -324,9 +326,9 @@ def test_gradcheck_gelu_relu():
 
 def test_gradcheck_conv2d():
     rng = make_rng(6)
-    x = parameter(rng.normal(size=(2, 6, 5)))
+    x = parameter(rng.normal(size=(1, 2, 6, 5)))
     w = parameter(rng.normal(size=(3, 2, 3, 3)))
-    c = tensor(rng.normal(size=(3, 3, 3)))
+    c = tensor(rng.normal(size=(1, 3, 3, 3)))
     _check(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, stride=2, pad=1), c)), [x, w])
 
 

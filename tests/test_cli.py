@@ -167,6 +167,15 @@ class TestEval:
                        str(tmp_path / "absent.bin"),
                        "--report", str(tmp_path / "r.json")) == 2
 
+    def test_corrupt_header_exits_2(self, trained_ckpt, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        blob = bytearray(open(trained_ckpt, "rb").read())
+        blob[10] = ord("#")                  # first byte of the JSON header
+        bad.write_bytes(bytes(blob))
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(tmp_path / "r.json")) == 2
+        assert "corrupt header" in capsys.readouterr().err
+
     def test_subset_split(self, trained_ckpt, data_dir, tmp_path):
         rep_tr = str(tmp_path / "tr.json")
         rep_te = str(tmp_path / "te.json")
@@ -258,6 +267,22 @@ class TestInspect:
         f1 = np.array(grids["field1"])
         f2 = np.array(grids["field2"])
         assert f1.shape == f2.shape and f1.shape[-1] == 2
+
+    def test_grids_label_fields_as_the_model_aligns(self, trained_ckpt, data_dir, tmp_path):
+        # the model aligns field 1 onto field 2's regular grid
+        out = str(tmp_path / "probe4")
+        run_cli("inspect", "--ckpt", trained_ckpt, "--data", data_dir,
+                "--eye", "2", "--out", out)
+        with open(os.path.join(out, "grids.json"), encoding="utf-8") as fh:
+            grids = json.load(fh)
+        axis = np.linspace(-1.0, 1.0, 4)             # tiny config: 4x4 tokens
+        regular = np.stack(np.meshgrid(axis, axis), axis=-1)
+        f1 = np.array(grids["field1"])
+        f2 = np.array(grids["field2"])
+        np.testing.assert_allclose(f2, regular, atol=1e-6)
+        np.testing.assert_allclose(f1 - f2, np.broadcast_to(grids["offset"], f1.shape),
+                                   atol=1e-5)
+        assert np.abs(grids["offset"]).max() > 1e-3   # the eye's discs do move
 
     def test_absent_eye_is_lookup_error(self, trained_ckpt, data_dir, tmp_path):
         assert run_cli("inspect", "--ckpt", trained_ckpt, "--data", data_dir,

@@ -5,7 +5,12 @@ import pytest
 
 import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, ShapeError, Tensor, backward, make_rng
-from crossfit.encoder import Encoder, EncoderConfig, encode_stub
+from crossfit.encoder import Encoder, EncoderConfig
+
+
+def encode(enc, images):
+    """(n,S,S,3) channels-last images -> the encoder's (n,h,w,d_e) values."""
+    return enc(Tensor(np.ascontiguousarray(np.moveaxis(images, 3, 1)))).data
 
 
 def test_default_config_feature_shape():
@@ -14,9 +19,8 @@ def test_default_config_feature_shape():
     assert cfg.feature_side == 4
     assert cfg.d_e == 64
     enc = Encoder(make_rng(0), cfg)
-    img = make_rng(1).uniform(size=(64, 64, 3))
-    fm = enc.encode_image(img)
-    assert fm.values.shape == (4, 4, 64)
+    img = make_rng(1).uniform(size=(1, 64, 64, 3))
+    assert encode(enc, img).shape == (1, 4, 4, 64)
 
 
 def test_neutral_image_zero_features():
@@ -24,21 +28,23 @@ def test_neutral_image_zero_features():
     # a 0.5 image propagates exact zeros through every stage
     cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
     enc = Encoder(make_rng(0), cfg)
-    fm = enc.encode_image(np.full((16, 16, 3), 0.5))
-    np.testing.assert_array_equal(fm.values.data, np.zeros((4, 4, 8)))
+    feats = encode(enc, np.full((1, 16, 16, 3), 0.5))
+    np.testing.assert_array_equal(feats, np.zeros((1, 4, 4, 8)))
 
 
 def test_activations_nonnegative():
     cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
     enc = Encoder(make_rng(3), cfg)
-    fm = enc.encode_image(make_rng(4).uniform(size=(16, 16, 3)))
-    assert (fm.values.data >= 0.0).all()
+    feats = encode(enc, make_rng(4).uniform(size=(1, 16, 16, 3)))
+    assert (feats >= 0.0).all()
 
 
 def test_wrong_input_size_rejected():
     enc = Encoder(make_rng(0), EncoderConfig(stage_channels=(4,), input_size=16))
     with pytest.raises(ShapeError):
-        enc.encode_image(np.zeros((8, 8, 3)))
+        encode(enc, np.zeros((1, 8, 8, 3)))
+    with pytest.raises(ShapeError):          # one image must carry its batch axis
+        enc(Tensor(np.zeros((3, 16, 16))))
 
 
 def test_config_divisibility_contract():
@@ -52,10 +58,10 @@ def test_batched_matches_single():
     cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
     enc = Encoder(make_rng(5), cfg)
     imgs = make_rng(6).uniform(size=(3, 16, 16, 3))
-    batched = enc(Tensor(np.moveaxis(imgs, 3, 1).copy())).data
+    batched = encode(enc, imgs)
     for i in range(3):
-        single = enc.encode_image(imgs[i]).values.data
-        np.testing.assert_array_equal(batched[i], single)
+        single = encode(enc, imgs[i:i + 1])
+        np.testing.assert_array_equal(batched[i], single[0])
 
 
 def test_gradients_reach_every_parameter():
@@ -68,40 +74,40 @@ def test_gradients_reach_every_parameter():
         assert p.grad is not None and np.any(p.grad != 0.0), f"dead parameter {name}"
 
 
-def test_stub_ones():
+def test_stub_ones(encode_stub):
     fm = encode_stub(np.ones((4, 4, 3)), 2)
-    np.testing.assert_array_equal(fm.values.data, np.ones((2, 2, 1)))
+    np.testing.assert_array_equal(fm, np.ones((2, 2, 1)))
 
 
-def test_stub_zero_quadrant():
+def test_stub_zero_quadrant(encode_stub):
     img = np.full((8, 8, 3), 0.9)
     img[:4, :4] = 0.0
     fm = encode_stub(img, 4)
-    assert fm.values.data[0, 0, 0] == 0.0
-    assert abs(fm.values.data[1, 1, 0] - 0.9) <= 1e-15
+    assert fm[0, 0, 0] == 0.0
+    assert abs(fm[1, 1, 0] - 0.9) <= 1e-15
 
 
-def test_stub_is_patch_mean():
+def test_stub_is_patch_mean(encode_stub):
     img = make_rng(9).uniform(size=(12, 12, 3))
     fm = encode_stub(img, 3)
     for i in range(4):
         for j in range(4):
             want = img[3 * i:3 * i + 3, 3 * j:3 * j + 3].mean()
-            assert abs(fm.values.data[i, j, 0] - want) <= 1e-12
+            assert abs(fm[i, j, 0] - want) <= 1e-12
 
 
-def test_stub_exactly_local():
+def test_stub_exactly_local(encode_stub):
     img = make_rng(10).uniform(size=(8, 8, 3))
-    base = encode_stub(img, 4).values.data.copy()
+    base = encode_stub(img, 4).copy()
     other = img.copy()
     other[5:, 5:] = 0.123  # bottom-right patch only
-    cell = encode_stub(other, 4).values.data
+    cell = encode_stub(other, 4)
     np.testing.assert_array_equal(cell[0, 0], base[0, 0])
     np.testing.assert_array_equal(cell[0, 1], base[0, 1])
     np.testing.assert_array_equal(cell[1, 0], base[1, 0])
 
 
-def test_stub_divisibility_contract():
+def test_stub_divisibility_contract(encode_stub):
     with pytest.raises(ShapeError):
         encode_stub(np.ones((9, 9, 3)), 4)
     with pytest.raises(ShapeError):

@@ -9,9 +9,8 @@ import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, Tensor, gradcheck, make_rng
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
-from crossfit.geometry import RelCoord
 from crossfit.model import (
-    CrossFiTConfig, CrossFiTModel, Prediction, fuse, global_pool,
+    CrossFiTConfig, CrossFiTModel, Prediction, _masked_mean, fuse,
 )
 
 
@@ -57,20 +56,20 @@ def test_prediction_argmax_shift_invariant():
 
 def test_global_pool_constant_rows():
     v = np.array([2.0, -1.0, 0.5])
-    g = Tensor(np.tile(v, (4, 1)))
-    np.testing.assert_allclose(global_pool(g).data, v, atol=1e-15)
+    g = Tensor(np.tile(v, (1, 4, 1)))
+    np.testing.assert_allclose(_masked_mean(g, None).data, [v], atol=1e-15)
 
 
 def test_global_pool_hand_values():
-    g = Tensor(np.array([[1.0, 0.0], [3.0, 0.0]]))
-    out = global_pool(g, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(out.data, [2.0, 0.0])
+    g = Tensor(np.array([[[1.0, 0.0], [3.0, 0.0]]]))
+    out = _masked_mean(g, np.array([[1.0, 1.0]]))
+    np.testing.assert_array_equal(out.data, [[2.0, 0.0]])
 
 
 def test_global_pool_single_row_mask():
-    g = Tensor(np.array([[1.0, 7.0], [3.0, 9.0]]))
-    out = global_pool(g, np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(out.data, [1.0, 7.0])
+    g = Tensor(np.array([[[1.0, 7.0], [3.0, 9.0]]]))
+    out = _masked_mean(g, np.array([[1.0, 0.0]]))
+    np.testing.assert_array_equal(out.data, [[1.0, 7.0]])
 
 
 def test_fuse_hand_values():
@@ -97,8 +96,7 @@ def test_fuse_max_idempotent_commutative():
 def test_crossfit_forward_shapes_and_sanity():
     model = CrossFiTModel(make_rng(3), micro_cfg())
     i1, i2, od1, od2 = rand_pair(4)
-    pred = model.forward_pair(i1[0], i2[0],
-                              RelCoord(*od1[0]), RelCoord(*od2[0]))
+    (pred,) = model.predict_batch(i1, i2, od1, od2)
     assert pred.logits.shape == (3,)
     assert abs(pred.probabilities.sum() - 1.0) <= 1e-6
     assert 0 <= pred.grade < 3
@@ -107,7 +105,7 @@ def test_crossfit_forward_shapes_and_sanity():
 def test_crossfit_identical_inputs_no_crash():
     model = CrossFiTModel(make_rng(5), micro_cfg())
     i1, _, od1, _ = rand_pair(6)
-    pred = model.forward_pair(i1[0], i1[0], RelCoord(*od1[0]), RelCoord(*od1[0]))
+    (pred,) = model.predict_batch(i1, i1, od1, od1)
     assert 0 <= pred.grade < 3
 
 
@@ -115,9 +113,9 @@ def test_desk_config_five_logits():
     cfg = CrossFiTConfig()  # desk defaults: S=64, d_t=64, L=3, N=4, C=5
     model = CrossFiTModel(make_rng(7), cfg)
     rng = make_rng(8)
-    i1 = rng.uniform(size=(64, 64, 3))
-    i2 = rng.uniform(size=(64, 64, 3))
-    pred = model.forward_pair(i1, i2, RelCoord(0.5, 0.5), RelCoord(0.3, 0.5))
+    i1 = rng.uniform(size=(1, 64, 64, 3))
+    i2 = rng.uniform(size=(1, 64, 64, 3))
+    (pred,) = model.predict_batch(i1, i2, np.array([[0.5, 0.5]]), np.array([[0.3, 0.5]]))
     assert pred.logits.shape == (5,)
 
 
@@ -174,7 +172,7 @@ def test_decision_identical_fields_match_single():
     for strategy in ("pred_avg", "pred_max"):
         model = CrossFiTModel(make_rng(15), micro_cfg(strategy=strategy))
         i1, _, od1, _ = rand_pair(16)
-        pred = model.forward_pair(i1[0], i1[0], RelCoord(*od1[0]), RelCoord(*od1[0]))
+        (pred,) = model.predict_batch(i1, i1, od1, od1)
         with ad.no_grad():
             (l1, _), _ = model.forward_batch(i1, i1, od1, od1)
         single = Prediction.from_logits(l1.data[0])
@@ -202,8 +200,8 @@ def test_single_field_loss_uniform_logits():
     model = CrossFiTModel(make_rng(19), cfg)
     model.head.w.data[:] = 0.0
     model.head.b.data[:] = 0.0
-    i1, i2, _, _ = rand_pair(20)
-    loss = model.loss_single_field(i1[0], i2[0], 3)
+    i1, i2, od1, od2 = rand_pair(20)
+    loss = model.loss_batch(i1, i2, od1, od2, [3])
     assert abs(loss.item() - 2.0 * math.log(5.0)) <= 1e-12
     ad.active_tape().clear()
 
@@ -212,15 +210,12 @@ def test_single_field_loss_identical_fields_doubles():
     cfg = micro_cfg(strategy="pred_max", mask_enabled=False)
     model = CrossFiTModel(make_rng(21), cfg)
     i1, _, _, _ = rand_pair(22)
-    both = model.loss_single_field(i1[0], i1[0], 1).item()
+    both = model.loss_batch(i1, i1, None, None, [1]).item()
     ad.active_tape().clear()
     with ad.no_grad():
         (l1, _), _ = model.forward_batch(i1, i1, None, None)
     single = ad.cross_entropy_logits(Tensor(l1.data), [1]).item()
     assert abs(both - 2.0 * single) <= 1e-10
-    with pytest.raises(ContractError):
-        CrossFiTModel(make_rng(23), micro_cfg(strategy="crossfit")).loss_single_field(
-            i1[0], i1[0], 0)
 
 
 def test_crossfit_loss_gradients_reach_all_parameters():

@@ -288,6 +288,21 @@ class TestPersistence:
         with pytest.raises(DataError, match="truncated"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("header", [b"P6\n# written by hand\n5 4\n255\n",
+                                        b"P6\n5\n4\n255\n"],
+                             ids=["comment_line", "split_dims"])
+    def test_ppm_legal_headers_read(self, tmp_path, header):
+        img = (np.arange(4 * 5 * 3, dtype=np.uint8)).reshape(4, 5, 3)
+        p = str(tmp_path / "t.ppm")
+        open(p, "wb").write(header + img.tobytes())
+        np.testing.assert_array_equal(read_ppm(p), img)
+
+    def test_ppm_non_integer_dim_rejected(self, tmp_path):
+        p = str(tmp_path / "t.ppm")
+        open(p, "wb").write(b"P6\n5 four\n255\n" + bytes(60))
+        with pytest.raises(DataError, match="non-integer"):
+            read_ppm(p)
+
     def test_dataset_round_trip(self, tmp_path):
         samples = generate_dataset(9, 12)
         write_dataset(samples, str(tmp_path))

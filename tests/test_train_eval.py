@@ -16,8 +16,9 @@ from crossfit.model import CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import (
     Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
     build_model_from_checkpoint, evaluate, load_checkpoint,
-    metrics_from_predictions, quadratic_weighted_kappa, roc_auc_ovr,
-    save_checkpoint, sgd_momentum_step, train,
+    metrics_from_predictions, model_config_from_dict, model_config_to_dict,
+    quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
+    train,
 )
 
 
@@ -233,6 +234,25 @@ def test_metrics_missing_class_warns_and_excludes():
     assert abs(rep.macro_auc - np.mean(defined)) <= 1e-15
 
 
+def test_metrics_negative_grade_rejected():
+    # np.add.at would wrap -1 onto the last column and score a perfect match
+    labels = np.array([0, 1, 2, 4])
+    grades = np.array([0, 1, 2, -1])
+    with pytest.raises(ContractError, match="grades"):
+        metrics_from_predictions(labels, grades, np.full((4, 5), 0.2), 5)
+
+
+def test_metrics_out_of_range_grade_rejected():
+    labels = np.array([0, 1, 2, 4])
+    probs = np.full((4, 5), 0.2)
+    with pytest.raises(ContractError, match="grades"):
+        metrics_from_predictions(labels, np.array([0, 1, 2, 5]), probs, 5)
+    with pytest.raises(ContractError, match="labels"):
+        metrics_from_predictions(np.array([0, 1, 2, 5]), labels, probs, 5)
+    with pytest.raises(ContractError):
+        metrics_from_predictions(labels, labels[:3], probs, 5)
+
+
 def test_report_json_shape():
     rep = MetricsReport(0.5, 0.75, 0.8, [0.8, None], np.eye(2, dtype=np.int64), 4)
     d = rep.to_dict()
@@ -353,6 +373,37 @@ def test_checkpoint_corrupt_index_names_tensor(tmp_path):
                            + new_header + blob[10 + hlen:])
     with pytest.raises(CheckpointError, match=victim["name"]):
         load_checkpoint(path)
+
+
+def test_checkpoint_corrupt_header_typed(tmp_path):
+    path = str(tmp_path / "h.ckpt")
+    save_checkpoint(Checkpoint.from_model(micro_model(23)), path)
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[6:10])
+    header = json.loads(blob[10:10 + hlen].decode())
+
+    def write_header(raw: bytes):
+        open(path, "wb").write(blob[:6] + struct.pack("<I", len(raw)) + raw
+                               + blob[10 + hlen:])
+
+    for raw in (b"#" + blob[11:10 + hlen],            # not JSON
+                b"\xff" + blob[11:10 + hlen],         # not UTF-8
+                json.dumps({k: v for k, v in header.items()
+                            if k != "train_state"}).encode(),
+                json.dumps(dict(header, tensors=[{"name": "w"}])).encode(),
+                b"[]"):
+        write_header(raw)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+    write_header(json.dumps(dict(header, config={"model": {"strategy": "crossfit"}})).encode())
+    with pytest.raises(CheckpointError, match="model config"):
+        build_model_from_checkpoint(load_checkpoint(path))
+
+
+def test_checkpoint_config_ignores_unread_keys():
+    cfg = micro_model(24).cfg
+    stored = dict(model_config_to_dict(cfg), grid_size=None)   # an older header's field
+    assert model_config_to_dict(model_config_from_dict(stored)) == model_config_to_dict(cfg)
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
