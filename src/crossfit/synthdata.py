@@ -23,7 +23,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -565,17 +565,26 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"manifest line {line_no}: bad JSON ({err})") from None
+            if not isinstance(rec, dict):
+                raise DataError(f"manifest line {line_no}: not a JSON object")
             missing = [k for k in _MANIFEST_KEYS if k not in rec]
             eye = rec.get("eye_id", f"<line {line_no}>")
             if missing:
                 raise DataError(f"eye {eye}: manifest record missing {missing}")
+            for k in ("eye_id", "grade"):
+                if isinstance(rec[k], bool) or not isinstance(rec[k], int):
+                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not an integer")
             for k in ("od1_x", "od1_y", "od2_x", "od2_y"):
+                if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
+                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a number")
                 if not (0.0 <= rec[k] <= 1.0):
                     raise DataError(f"eye {eye}: {k}={rec[k]} outside [0,1]")
             if not (0 <= rec["grade"] < num_classes):
                 raise DataError(f"eye {eye}: grade {rec['grade']} outside [0,{num_classes})")
             paths = []
             for k in ("field1_path", "field2_path"):
+                if not isinstance(rec[k], str):
+                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a path")
                 p = os.path.join(data_dir, rec[k])
                 if not os.path.exists(p):
                     raise DataError(f"eye {eye}: missing image file {rec[k]}")

@@ -6,7 +6,7 @@ import json
 import struct
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -378,6 +378,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             fh.write(data)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -405,8 +409,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: truncated payload ({len(payload)} of {payload_bytes} bytes)")
     tensors = OrderedDict()
     for name, shape, off, length in index:
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if length != expected or off + length > len(payload):
+        # counts first: a negative dimension pair keeps the product intact
+        if (not all(_is_count(v) for v in (*shape, off, length))
+                or length != int(np.prod(shape, dtype=np.int64)) * 4
+                or off + length > len(payload)):
             raise CheckpointError(f"{path}: corrupt index entry for tensor {name}")
         tensors[name] = np.frombuffer(
             payload[off:off + length], dtype="<f4").reshape(shape).copy()

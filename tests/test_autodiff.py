@@ -332,6 +332,48 @@ def test_gradcheck_conv2d():
     _check(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, stride=2, pad=1), c)), [x, w])
 
 
+@pytest.mark.parametrize("x_shape, c_out, k, stride, pad", [
+    ((2, 2, 32, 32), 2, 15, 16, 7),   # the CLI encoder's geometry
+    ((3, 2, 8, 8), 3, 4, 4, 0),       # an even kernel as a patch tiling
+], ids=["k15_s16", "k4_s4"])
+def test_gradcheck_conv2d_batched(x_shape, c_out, k, stride, pad):
+    rng = make_rng(7)
+    x = parameter(rng.normal(size=x_shape))
+    w = parameter(rng.normal(size=(c_out, x_shape[1], k, k)))
+    with no_grad():
+        c = tensor(rng.normal(size=ad.conv2d(x, w, stride, pad).shape))
+    _check(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, stride, pad), c)), [x, w])
+
+
+def test_conv2d_image_batch_gets_no_gradient():
+    rng = make_rng(8)
+    xd = rng.normal(size=(2, 3, 8, 8))
+    w = parameter(rng.normal(size=(2, 3, 3, 3)))
+    grads = {}
+    for needs_grad in (False, True):
+        out = ad.conv2d(tensor(xd, requires_grad=needs_grad), w, stride=2, pad=1)
+        node = ad.active_tape()._nodes[-1]
+        grads[needs_grad] = node.backward_fn(np.ones(out.shape))
+        ad.active_tape().clear()
+    gx, gw = grads[False]
+    assert gx is None
+    assert grads[True][0].shape == xd.shape
+    np.testing.assert_array_equal(gw, grads[True][1])
+
+
+def test_matmul_folds_leading_axes_of_a():
+    rng = make_rng(9)
+    a = parameter(rng.normal(size=(3, 4, 5)))
+    b = parameter(rng.normal(size=(5, 2)))
+    with no_grad():
+        out = ad.matmul(a, b).data
+    assert out.shape == (3, 4, 2)
+    for i in range(3):
+        np.testing.assert_allclose(out[i], a.data[i] @ b.data, rtol=1e-12, atol=0)
+    c = tensor(rng.normal(size=(3, 4, 2)))
+    _check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), c)), [a, b])
+
+
 def test_gradcheck_cross_entropy():
     rng = make_rng(8)
     x = parameter(rng.normal(size=(5, 4)))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ class TestEval:
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(tmp_path / "r.json")) == 2
         assert "corrupt header" in capsys.readouterr().err
+
+    def test_negative_tensor_dims_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
+        blob = open(trained_ckpt, "rb").read()
+        (hlen,) = struct.unpack("<I", blob[6:10])
+        header = json.loads(blob[10:10 + hlen].decode())
+        shape = header["tensors"][0]["shape"]
+        header["tensors"][0]["shape"] = [-shape[0], -shape[1], *shape[2:]]
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "neg.bin"
+        bad.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + hlen:])
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(tmp_path / "r.json")) == 2
+        assert "corrupt index entry" in capsys.readouterr().err
+
+    def test_string_grade_exits_2(self, trained_ckpt, tmp_path, capsys):
+        path = str(tmp_path / "eyes")
+        assert run_cli("gen-data", "--out", path, "--n", "3", "--seed", "5") == 0
+        mpath = os.path.join(path, "manifest.jsonl")
+        with open(mpath, encoding="utf-8") as fh:
+            recs = [json.loads(line) for line in fh]
+        recs[1]["grade"] = str(recs[1]["grade"])
+        with open(mpath, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in recs)
+        assert run_cli("eval", "--data", path, "--ckpt", trained_ckpt,
+                       "--report", str(tmp_path / "r.json")) == 2
+        assert "is not an integer" in capsys.readouterr().err
 
     def test_subset_split(self, trained_ckpt, data_dir, tmp_path):
         rep_tr = str(tmp_path / "tr.json")

@@ -354,6 +354,29 @@ class TestPersistence:
         with pytest.raises(DataError, match="eye 0"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("grade", "3"), ("grade", 2.5), ("grade", True),
+        ("od1_x", "0.5"), ("od1_y", None), ("od2_x", [0.5]), ("od2_y", False),
+        ("eye_id", "1"), ("field1_path", 7), ("field2_path", None),
+    ])
+    def test_mistyped_field_typed(self, tmp_path, key, value):
+        write_dataset(generate_dataset(1, 2), str(tmp_path))
+        mpath = tmp_path / "manifest.jsonl"
+        lines = mpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec[key] = value
+        lines[1] = json.dumps(rec)
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"eye 1: {key}="):
+            load_dataset(str(tmp_path))
+
+    def test_non_object_record_typed(self, tmp_path):
+        write_dataset(generate_dataset(1, 2), str(tmp_path))
+        mpath = tmp_path / "manifest.jsonl"
+        mpath.write_text(mpath.read_text() + "[1, 2]\n")
+        with pytest.raises(DataError, match="line 3: not a JSON object"):
+            load_dataset(str(tmp_path))
+
     def test_missing_image_names_eye(self, tmp_path):
         write_dataset(generate_dataset(1, 2), str(tmp_path))
         os.remove(tmp_path / "images" / "1_f2.ppm")

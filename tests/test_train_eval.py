@@ -375,6 +375,27 @@ def test_checkpoint_corrupt_index_names_tensor(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("shape", lambda shape: [-shape[0], -shape[1], *shape[2:]]),   # same product
+    ("shape", lambda shape: ["4", *shape[1:]]),
+    ("offset", lambda off: -4),
+], ids=["negative_dims", "string_dim", "negative_offset"])
+def test_checkpoint_malformed_index_typed(tmp_path, field, bad):
+    path = str(tmp_path / "i.ckpt")
+    save_checkpoint(Checkpoint.from_model(micro_model(25)), path)
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[6:10])
+    header = json.loads(blob[10:10 + hlen].decode())
+    victim = header["tensors"][0]
+    assert len(victim["shape"]) == 4            # the first conv stage's weight
+    victim[field] = bad(victim[field])
+    new_header = json.dumps(header).encode()
+    open(path, "wb").write(blob[:6] + struct.pack("<I", len(new_header))
+                           + new_header + blob[10 + hlen:])
+    with pytest.raises(CheckpointError, match=victim["name"]):
+        load_checkpoint(path)
+
+
 def test_checkpoint_corrupt_header_typed(tmp_path):
     path = str(tmp_path / "h.ckpt")
     save_checkpoint(Checkpoint.from_model(micro_model(23)), path)
