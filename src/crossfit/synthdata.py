@@ -192,6 +192,15 @@ def _bounding_radius(lesion_r: float, length: float) -> float:
     return lesion_r + length / 2.0
 
 
+# (sqrt, cos, sin, atan2, hypot) for one try at a time, and for a batch
+_SCALAR_OPS = (math.sqrt, math.cos, math.sin, math.atan2, math.hypot)
+_ARRAY_OPS = (np.sqrt, np.cos, np.sin, np.arctan2, np.hypot)
+# numpy's arctan2/hypot/cos may differ from math's in the last bit, so the
+# batched pass rejects only tries that miss a rule by more than this many px
+_BATCH_TOL = 1e-6
+_FIRST_BATCH = 64
+
+
 def _place_lesion(rng, zone: str, scene_geo: dict, r: float, length: float,
                   existing: list[tuple[float, float, float]],
                   tries: int = 2000) -> tuple[float, float, float] | None:
@@ -200,10 +209,18 @@ def _place_lesion(rng, zone: str, scene_geo: dict, r: float, length: float,
     Streaks are tested at both endpoints rather than by bounding disc, and
     in exclusive zones they run tangentially to the excluded camera so the
     narrow crescent beyond its aperture stays feasible.
+
+    Each try consumes three doubles (radius, bearing, angle).  Tries are
+    drawn in growing batches and screened with numpy; the survivors are
+    confirmed in order with scalar math, and the generator is rewound to
+    just after the accepted try.  Result and generator state therefore
+    match a loop that draws one try at a time with ``rng.uniform``.
     """
     s = scene_geo["size"]
     r_ap = APERTURE * s
     c1, c2 = scene_geo["c1"], scene_geo["c2"]
+    od, od_r = scene_geo["od"], scene_geo["od_r"]
+    mac, mac_r = scene_geo["mac"], scene_geo["mac_r"]
     half = length / 2.0
     bound = r + half
     inner = _LESION_ZONE * s - r - _EDGE_PAD
@@ -215,42 +232,63 @@ def _place_lesion(rng, zone: str, scene_geo: dict, r: float, length: float,
     if zone == "overlap" and rng.uniform() < 0.5:
         base = c1
     excluded = c2 if zone == "f1" else c1
+    tangential = half > 0 and zone in ("f1", "f2", "split")
     # Tangential streaks put their endpoints at hypot(rad, half) from the
     # camera, not rad + half, so exclusive zones may propose centers from a
     # wider disc; the endpoint checks below still reject any overshoot.
-    if half > 0 and zone in ("f1", "f2", "split"):
+    if tangential:
         rad_cap = math.sqrt(max(inner * inner - half * half, 0.0))
     else:
         rad_cap = max(inner - half, 0.0)
-    for _ in range(tries):
-        rad = rad_cap * math.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        p = (base[0] + rad * math.cos(theta), base[1] + rad * math.sin(theta))
-        if half > 0 and zone in ("f1", "f2", "split"):
-            radial = math.atan2(p[1] - excluded[1], p[0] - excluded[0])
-            ang = radial + math.pi / 2.0 + rng.uniform(-0.25, 0.25)
+
+    def attempt(u0, u1, u2, ops, tol):
+        """Candidate from one try's doubles, and whether it breaks a rule
+        by more than `tol`; works on floats and on arrays alike.  Each
+        `lo + (hi - lo) * u` is what `rng.uniform(lo, hi)` makes of `u`."""
+        sqrt, cos, sin, atan2, hypot = ops
+        rad = rad_cap * sqrt(u0)
+        theta = 2.0 * math.pi * u1
+        x, y = base[0] + rad * cos(theta), base[1] + rad * sin(theta)
+        if tangential:
+            radial = atan2(y - excluded[1], x - excluded[0])
+            ang = radial + math.pi / 2.0 + (-0.25 + 0.5 * u2)
         else:
-            ang = rng.uniform(0.0, math.pi)
-        pts = [p]
+            ang = math.pi * u2
+        pts = [(x, y)]
         if half > 0:
-            dx, dy = half * math.cos(ang), half * math.sin(ang)
-            pts += [(p[0] + dx, p[1] + dy), (p[0] - dx, p[1] - dy)]
-        if zone == "f1" and (any(_dist(q, c1) > inner for q in pts)
-                             or any(_dist(q, c2) < outer for q in pts)):
-            continue
-        if zone in ("f2", "split") and (any(_dist(q, c2) > inner for q in pts)
-                                        or any(_dist(q, c1) < outer for q in pts)):
-            continue
-        if zone == "overlap" and any(_dist(q, c1) > inner or _dist(q, c2) > inner
-                                     for q in pts):
-            continue
-        if _dist(p, scene_geo["od"]) < scene_geo["od_r"] + bound + _EDGE_PAD:
-            continue
-        if _dist(p, scene_geo["mac"]) < scene_geo["mac_r"] + bound + _EDGE_PAD:
-            continue
-        if any(_dist(p, (ex, ey)) < eb + bound + 1.0 for ex, ey, eb in existing):
-            continue
-        return p[0], p[1], ang
+            dx, dy = half * cos(ang), half * sin(ang)
+            pts += [(x + dx, y + dy), (x - dx, y - dy)]
+        bad = False
+        for qx, qy in pts:
+            d1 = hypot(qx - c1[0], qy - c1[1])
+            d2 = hypot(qx - c2[0], qy - c2[1])
+            if zone == "f1":
+                bad = bad | (d1 > inner + tol) | (d2 < outer - tol)
+            elif zone in ("f2", "split"):
+                bad = bad | (d2 > inner + tol) | (d1 < outer - tol)
+            else:
+                bad = bad | (d1 > inner + tol) | (d2 > inner + tol)
+        bad = bad | (hypot(x - od[0], y - od[1]) < od_r + bound + _EDGE_PAD - tol)
+        bad = bad | (hypot(x - mac[0], y - mac[1]) < mac_r + bound + _EDGE_PAD - tol)
+        for ex, ey, eb in existing:
+            bad = bad | (hypot(x - ex, y - ey) < eb + bound + 1.0 - tol)
+        return x, y, ang, bad
+
+    start = rng.bit_generator.state
+    done, batch = 0, _FIRST_BATCH
+    while done < tries:
+        u = rng.random((min(batch, tries - done), 3))
+        *_, bad = attempt(u[:, 0], u[:, 1], u[:, 2], _ARRAY_OPS, _BATCH_TOL)
+        for j in np.flatnonzero(~bad):
+            x, y, ang, miss = attempt(*u[j].tolist(), _SCALAR_OPS, 0.0)
+            if not miss:
+                # Redraw rather than bit_generator.advance: advance drops
+                # PCG64's cached 32-bit half, which later integers() use.
+                rng.bit_generator.state = start
+                rng.random(3 * (done + int(j) + 1))
+                return x, y, ang
+        done += len(u)
+        batch *= 2
     return None
 
 
@@ -376,11 +414,20 @@ def _quad_mask(sx, sy, poly: np.ndarray):
     return inside
 
 
-def render_field(scene: RetinaScene, center: str, size: int | None = None):
+def _pixel_box(cx: float, cy: float, reach: float, s: int):
+    """Row and column slices of the S x S grid covering every pixel whose
+    center lies within `reach` of (cx, cy), in pixels from the top-left."""
+    def span(c):
+        return slice(min(max(math.floor(c - reach), 0), s),
+                     min(max(math.ceil(c + reach), 0), s))
+    return span(cy), span(cx)
+
+
+def render_field(scene: RetinaScene, center: str):
     """Rasterize one camera view; returns (image, optic-disc RelCoord)."""
     if center not in ("macula", "optic_disc"):
         raise DataError(f"unknown field center {center!r}")
-    s = size or scene.size
+    s = scene.size
     fc = scene.field1_center if center == "macula" else scene.field2_center
     origin = (fc[0] - s / 2.0, fc[1] - s / 2.0)
     px = np.arange(s) + 0.5
@@ -395,22 +442,26 @@ def render_field(scene: RetinaScene, center: str, size: int | None = None):
     falloff = 1.0 - 0.06 * (d_center / r_ap) ** 2
     img = scene.base_color[None, None, :] * falloff[:, :, None]
 
-    def blend(alpha, color):
+    def blend(region, alpha, color):
         a = alpha[:, :, None]
-        return img * (1.0 - a) + np.asarray(color)[None, None, :] * a
+        return region * (1.0 - a) + np.asarray(color)[None, None, :] * a
 
     mac_a = _disc_alpha(sx, sy, *scene.macula_center, scene.macula_radius)
     img = img * (1.0 - 0.45 * mac_a[:, :, None])
     od_a = _disc_alpha(sx, sy, *scene.od_center, scene.od_radius)
-    img = blend(od_a, _OD_COLOR)
+    img = blend(img, od_a, _OD_COLOR)
     for lesion in scene.lesions:
+        # alpha is exactly 0 beyond radius + 0.5 of the lesion body, where
+        # blending is the identity, so only the pixels near it are touched
+        box = _pixel_box(lesion.x - origin[0], lesion.y - origin[1],
+                         _bounding_radius(lesion.radius, lesion.length) + 1.5, s)
         if lesion.kind == "streak":
-            alpha = _capsule_alpha(sx, sy, lesion)
+            alpha = _capsule_alpha(sx[box], sy[box], lesion)
             color = _STREAK_COLOR
         else:
-            alpha = _disc_alpha(sx, sy, lesion.x, lesion.y, lesion.radius)
+            alpha = _disc_alpha(sx[box], sy[box], lesion.x, lesion.y, lesion.radius)
             color = _DOT_COLOR if lesion.kind == "dot" else _BLOB_COLOR
-        img = blend(alpha, np.clip(color * lesion.shade, 0.0, 1.0))
+        img[box] = blend(img[box], alpha, np.clip(color * lesion.shade, 0.0, 1.0))
     field_idx = 1 if center == "macula" else 2
     if scene.artifact is not None and scene.artifact[0] == field_idx:
         quad = _quad_mask(sx, sy, scene.artifact[1])
@@ -556,7 +607,9 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
     manifest = os.path.join(data_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
         raise DataError(f"no manifest at {manifest}")
+    root = os.path.abspath(data_dir)
     samples = []
+    seen_ids: set[int] = set()
     with open(manifest, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -574,6 +627,9 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
             for k in ("eye_id", "grade"):
                 if isinstance(rec[k], bool) or not isinstance(rec[k], int):
                     raise DataError(f"eye {eye}: {k}={rec[k]!r} is not an integer")
+            if eye in seen_ids:
+                raise DataError(f"eye {eye}: duplicate eye_id (line {line_no})")
+            seen_ids.add(eye)
             for k in ("od1_x", "od1_y", "od2_x", "od2_y"):
                 if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
                     raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a number")
@@ -585,12 +641,19 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
             for k in ("field1_path", "field2_path"):
                 if not isinstance(rec[k], str):
                     raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a path")
-                p = os.path.join(data_dir, rec[k])
-                if not os.path.exists(p):
+                p = os.path.normpath(os.path.join(root, rec[k]))
+                if os.path.isabs(rec[k]) or os.path.commonpath([root, p]) != root:
+                    raise DataError(f"eye {eye}: {k}={rec[k]!r} leaves the data directory")
+                if not os.path.isfile(p):
                     raise DataError(f"eye {eye}: missing image file {rec[k]}")
                 paths.append(p)
             img1 = read_ppm(paths[0]).astype(np.float32) / 255.0
             img2 = read_ppm(paths[1]).astype(np.float32) / 255.0
+            want = samples[0].image1.shape if samples else img1.shape
+            for k, img in (("field1_path", img1), ("field2_path", img2)):
+                if img.shape != want:
+                    raise DataError(f"eye {eye}: {k} is {img.shape[1]}x{img.shape[0]}, "
+                                    f"expected {want[1]}x{want[0]} like the other images")
             samples.append(TwoFieldSample(
                 img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
                 RelCoord(rec["od2_x"], rec["od2_y"]), int(rec["grade"]),

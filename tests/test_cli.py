@@ -116,6 +116,35 @@ class TestTrain:
         assert run_cli("train", "--data", data_dir, "--config", cfg_path,
                        "--out", str(tmp_path / "m.bin")) == 2
 
+    @pytest.mark.parametrize("case, message", [
+        ("parent_path", "leaves the data directory"),
+        ("absolute_path", "leaves the data directory"),
+        ("duplicate_id", "duplicate eye_id"),
+        ("mixed_sizes", "expected 64x64"),
+    ])
+    def test_malformed_dataset_exits_2(self, tiny_config, tmp_path, capsys, case, message):
+        path = str(tmp_path / "eyes")
+        assert run_cli("gen-data", "--out", path, "--n", "3", "--seed", "5") == 0
+        mpath = os.path.join(path, "manifest.jsonl")
+        with open(mpath, encoding="utf-8") as fh:
+            recs = [json.loads(line) for line in fh]
+        stray = str(tmp_path / "stray.ppm")
+        sd.write_ppm(stray, np.zeros((64, 64, 3), np.uint8))
+        if case == "parent_path":
+            recs[1]["field1_path"] = "../stray.ppm"
+        elif case == "absolute_path":
+            recs[1]["field1_path"] = stray
+        elif case == "duplicate_id":
+            recs[2]["eye_id"] = recs[0]["eye_id"]
+        else:
+            sd.write_ppm(os.path.join(path, recs[2]["field2_path"]),
+                         np.zeros((32, 32, 3), np.uint8))
+        with open(mpath, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(r) + "\n" for r in recs)
+        assert run_cli("train", "--data", path, "--config", tiny_config,
+                       "--out", str(tmp_path / "m.bin")) == 2
+        assert message in capsys.readouterr().err
+
     def test_flag_overrides_config_file(self, data_dir, tmp_path, capsys):
         cfg_path = str(tmp_path / "c.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:

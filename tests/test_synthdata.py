@@ -8,13 +8,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossfit.geometry import RelCoord
 from crossfit.synthdata import (
-    APERTURE, ArrayDataset, DataError, GenConfig, Lesion, RetinaScene,
-    generate_dataset, generate_eye, generate_scene, grade_histogram,
-    grade_rule, load_dataset, read_ppm, render_field, write_dataset,
-    write_ppm,
+    _EDGE_PAD, _LESION_ZONE, APERTURE, ArrayDataset, DataError, GenConfig,
+    Lesion, RetinaScene, _dist, _place_lesion, generate_dataset, generate_eye,
+    generate_scene, grade_histogram, grade_rule, load_dataset, read_ppm,
+    render_field, write_dataset, write_ppm,
 )
 
 
@@ -155,6 +156,99 @@ class TestSceneGeneration:
                 assert poly.shape == (4, 2)
                 seen.add(field)
         assert seen == {1, 2}
+
+
+def _place_lesion_scalar(rng, zone, scene_geo, r, length, existing, tries=2000):
+    """One try at a time with `rng.uniform`: the loop `_place_lesion`
+    batches, kept verbatim as its oracle."""
+    s = scene_geo["size"]
+    r_ap = APERTURE * s
+    c1, c2 = scene_geo["c1"], scene_geo["c2"]
+    half = length / 2.0
+    bound = r + half
+    inner = _LESION_ZONE * s - r - _EDGE_PAD
+    outer = r_ap + r + _EDGE_PAD
+    if zone in ("f2", "split", "overlap"):
+        base = c2
+    else:
+        base = c1
+    if zone == "overlap" and rng.uniform() < 0.5:
+        base = c1
+    excluded = c2 if zone == "f1" else c1
+    if half > 0 and zone in ("f1", "f2", "split"):
+        rad_cap = math.sqrt(max(inner * inner - half * half, 0.0))
+    else:
+        rad_cap = max(inner - half, 0.0)
+    for _ in range(tries):
+        rad = rad_cap * math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        p = (base[0] + rad * math.cos(theta), base[1] + rad * math.sin(theta))
+        if half > 0 and zone in ("f1", "f2", "split"):
+            radial = math.atan2(p[1] - excluded[1], p[0] - excluded[0])
+            ang = radial + math.pi / 2.0 + rng.uniform(-0.25, 0.25)
+        else:
+            ang = rng.uniform(0.0, math.pi)
+        pts = [p]
+        if half > 0:
+            dx, dy = half * math.cos(ang), half * math.sin(ang)
+            pts += [(p[0] + dx, p[1] + dy), (p[0] - dx, p[1] - dy)]
+        if zone == "f1" and (any(_dist(q, c1) > inner for q in pts)
+                             or any(_dist(q, c2) < outer for q in pts)):
+            continue
+        if zone in ("f2", "split") and (any(_dist(q, c2) > inner for q in pts)
+                                        or any(_dist(q, c1) < outer for q in pts)):
+            continue
+        if zone == "overlap" and any(_dist(q, c1) > inner or _dist(q, c2) > inner
+                                     for q in pts):
+            continue
+        if _dist(p, scene_geo["od"]) < scene_geo["od_r"] + bound + _EDGE_PAD:
+            continue
+        if _dist(p, scene_geo["mac"]) < scene_geo["mac_r"] + bound + _EDGE_PAD:
+            continue
+        if any(_dist(p, (ex, ey)) < eb + bound + 1.0 for ex, ey, eb in existing):
+            continue
+        return p[0], p[1], ang
+    return None
+
+
+# a right eye at S = 64, cameras jittered off their landmarks
+_GEO = {"size": 64, "c1": (0.4, -0.7), "c2": (23.3, 1.9), "od": (23.6, 1.2),
+        "od_r": 4.5, "mac": (0.0, 0.0), "mac_r": 3.5}
+
+
+class TestPlacementMatchesScalarLoop:
+    @pytest.mark.parametrize("cached_half", [False, True], ids=["fresh", "cached_half"])
+    @pytest.mark.parametrize("kind", ["dot", "streak"])
+    @pytest.mark.parametrize("zone", ["f1", "f2", "split", "overlap"])
+    def test_result_and_generator_state(self, zone, kind, cached_half):
+        r, length = (2.3, 0.0) if kind == "dot" else (1.5, 12.8)
+        outcomes = set()
+        for seed in range(4):
+            for tries in (2000, 3):
+                fast, slow = _rng(seed), _rng(seed)
+                if cached_half:
+                    # a 32-bit draw leaves PCG64 holding the other half
+                    fast.integers(0, 5), slow.integers(0, 5)
+                    assert fast.bit_generator.state["has_uint32"] == 1
+                existing = []
+                for _ in range(8 if kind == "dot" else 4):
+                    got = _place_lesion(fast, zone, _GEO, r, length, existing, tries)
+                    want = _place_lesion_scalar(slow, zone, _GEO, r, length,
+                                                existing, tries)
+                    assert got == want
+                    assert fast.bit_generator.state == slow.bit_generator.state
+                    outcomes.add(got is None)
+                    if got is not None:
+                        existing.append((got[0], got[1], r + length / 2.0))
+        assert outcomes == {True, False}, "cases must cover success and exhaustion"
+
+    def test_exhaustion_spans_several_batches(self):
+        # a keep-out disc over the whole plane: every one of 300 tries fails
+        fast, slow = _rng(4), _rng(4)
+        blocked = [(0.0, 0.0, 500.0)]
+        assert _place_lesion(fast, "f2", _GEO, 2.3, 0.0, blocked, 300) is None
+        assert _place_lesion_scalar(slow, "f2", _GEO, 2.3, 0.0, blocked, 300) is None
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestRendering:
@@ -309,6 +403,28 @@ class TestPersistence:
         open(p, "wb").write(header + img.tobytes())
         np.testing.assert_array_equal(read_ppm(p), img)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda w, h, maxval, tail: b"P6\n%d %d\n%d\n" % (w, h, maxval) + tail,
+                  st.integers(-2, 9), st.integers(-2, 9),
+                  st.sampled_from([0, 1, 255, 256, 65535]), st.binary(max_size=300)),
+        st.builds(lambda fields, seps, tail: b"P6" + b"".join(
+                      sep + field for sep, field in zip(seps, fields)) + tail,
+                  st.lists(st.binary(min_size=1, max_size=4), min_size=3, max_size=3),
+                  st.lists(st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b"#"]),
+                           min_size=3, max_size=3),
+                  st.binary(max_size=40))))
+    def test_ppm_fuzz_raises_only_data_error(self, tmp_path_factory, blob):
+        p = str(tmp_path_factory.mktemp("fuzz") / "f.ppm")
+        with open(p, "wb") as fh:
+            fh.write(blob)
+        try:
+            img = read_ppm(p)
+        except DataError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+
     def test_ppm_non_integer_dim_rejected(self, tmp_path):
         p = str(tmp_path / "t.ppm")
         open(p, "wb").write(b"P6\n5 four\n255\n" + bytes(60))
@@ -398,6 +514,62 @@ class TestPersistence:
         write_dataset(generate_dataset(1, 2), str(tmp_path))
         os.remove(tmp_path / "images" / "1_f2.ppm")
         with pytest.raises(DataError, match="eye 1"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_image_path_outside_data_dir_typed(self, tmp_path, where):
+        data = tmp_path / "eyes"
+        write_dataset(generate_dataset(1, 2), str(data))
+        outside = tmp_path / "stray.ppm"
+        outside.write_bytes((data / "images" / "1_f1.ppm").read_bytes())
+        mpath = data / "manifest.jsonl"
+        lines = mpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["field1_path"] = "../stray.ppm" if where == "parent" else str(outside)
+        lines[1] = json.dumps(rec)
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="eye 1: field1_path=.* leaves the data directory"):
+            load_dataset(str(data))
+
+    def test_image_path_through_parent_back_inside_reads(self, tmp_path):
+        data = tmp_path / "eyes"
+        write_dataset(generate_dataset(1, 2), str(data))
+        mpath = data / "manifest.jsonl"
+        lines = mpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["field1_path"] = "../eyes/" + rec["field1_path"]
+        lines[1] = json.dumps(rec)
+        mpath.write_text("\n".join(lines) + "\n")
+        assert len(load_dataset(str(data))) == 2
+
+    def test_duplicate_eye_id_typed(self, tmp_path):
+        write_dataset(generate_dataset(1, 3), str(tmp_path))
+        mpath = tmp_path / "manifest.jsonl"
+        lines = mpath.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["eye_id"] = 0
+        lines[2] = json.dumps(rec)
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="eye 0: duplicate eye_id"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["1_f1.ppm", "1_f2.ppm", "0_f2.ppm"])
+    def test_mixed_image_sizes_typed(self, tmp_path, name):
+        write_dataset(generate_dataset(1, 2), str(tmp_path))
+        write_ppm(str(tmp_path / "images" / name), np.zeros((32, 32, 3), np.uint8))
+        with pytest.raises(DataError, match=f"eye {name[0]}: field{name[3]}_path is 32x32, "
+                                            "expected 64x64"):
+            load_dataset(str(tmp_path))
+
+    def test_directory_as_image_path_typed(self, tmp_path):
+        write_dataset(generate_dataset(1, 2), str(tmp_path))
+        mpath = tmp_path / "manifest.jsonl"
+        lines = mpath.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["field2_path"] = "images"
+        lines[0] = json.dumps(rec)
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="eye 0: missing image file"):
             load_dataset(str(tmp_path))
 
     def test_split_helpers(self):
