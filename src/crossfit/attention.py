@@ -36,6 +36,9 @@ class CfaConfig:
     zero_init_out: bool = False  # zero the two output projections: identity at init
 
     def __post_init__(self):
+        if self.heads < 1 or self.d_t < 1:
+            raise ContractError(f"heads ({self.heads}) and model width ({self.d_t}) "
+                                f"must be positive")
         if self.d_t % self.heads != 0 or self.d_t % 4 != 0:
             raise ContractError(
                 f"model width {self.d_t} must divide by heads ({self.heads}) and by 4")

@@ -7,11 +7,19 @@ do for their own duration only. Every differentiable op appends one node to
 the active tape; backward replays the tape once in reverse, accumulating
 gradients into every requires_grad leaf. No graph optimization, no
 higher-order derivatives.
+
+Importing this module tells glibc's allocator to keep freed memory in the
+process (`mallopt`, once; a no-op where libc has no `mallopt`). A training
+step frees its forward activations during backward; by default glibc hands
+those pages back to the OS and the next step faults them in again, thousands
+of page faults per step. Kept, each step reuses the last one's pages. Only
+where memory comes from changes: no computed value depends on it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -72,6 +80,26 @@ def default_dtype_scope(dtype):
         yield
     finally:
         set_default_dtype(prev)
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Serve blocks up to 32 MiB from the heap instead of fresh mmaps, and
+    return the heap's free top to the OS only once it exceeds 1 GiB."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory()
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -228,7 +256,14 @@ def backward(loss: Tensor) -> None:
             if gi is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = gi.astype(t.data.dtype, copy=True) if gi.dtype != t.data.dtype else gi.copy()
+                # add/sub at equal shapes, reshape, transpose and concat hand
+                # back g or a view of it; every other rule returns a fresh array
+                if gi.dtype != t.data.dtype:
+                    t.grad = gi.astype(t.data.dtype)
+                elif np.may_share_memory(gi, g):
+                    t.grad = gi.copy()
+                else:
+                    t.grad = gi
             else:
                 t.grad += gi
         node.out.grad = None  # free intermediate storage as we go

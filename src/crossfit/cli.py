@@ -67,6 +67,37 @@ _DEFAULTS = {
 }
 
 
+# keys that also take one value per encoder stage
+_PER_STAGE_KEYS = ("encoder.stride", "encoder.kernel")
+
+
+def _json_type(v) -> str:
+    if isinstance(v, bool):
+        return "true or false"
+    if isinstance(v, int):
+        return "an integer"
+    if isinstance(v, float):
+        return "a number"
+    if isinstance(v, str):
+        return "a string"
+    if isinstance(v, list) and all(_json_type(x) == "an integer" for x in v):
+        return "a list of integers"
+    return type(v).__name__
+
+
+def _check_config_type(key: str, value) -> None:
+    """Each key takes its default's JSON type: an integer key refuses 1.5,
+    2.0 and true, a boolean key refuses "no"; a number key takes integers."""
+    allowed = {_json_type(_DEFAULTS[key])}
+    if "a number" in allowed:
+        allowed.add("an integer")
+    if key in _PER_STAGE_KEYS:
+        allowed.add("a list of integers")
+    if _json_type(value) not in allowed:
+        raise UsageError(f"config key {key!r} must be {' or '.join(sorted(allowed))}, "
+                         f"got {json.dumps(value)}")
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -75,14 +106,15 @@ def _load_config_file(path: str | None) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise UsageError(f"config file {path}: bad JSON ({err})") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
-    for key in raw:
+    for key, value in raw.items():
         if key not in _DEFAULTS:
             known = ", ".join(sorted(_DEFAULTS))
             raise UsageError(f"unknown config key {key!r}; known keys: {known}")
+        _check_config_type(key, value)
     return raw
 
 
@@ -130,7 +162,7 @@ def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
             weight_decay=cfg["train.weight_decay"],
             batch_size=cfg["train.batch_size"], epochs=cfg["train.epochs"],
             seed=cfg["train.seed"], hflip=cfg["train.hflip"])
-    except (ContractError, TypeError) as err:
+    except ContractError as err:
         raise UsageError(f"inconsistent configuration: {err}") from None
     frac = cfg["data.train_frac"]
     if not (0.0 < frac < 1.0):

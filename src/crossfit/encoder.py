@@ -30,12 +30,16 @@ class EncoderConfig:
     def __post_init__(self):
         if len(self.stage_channels) < 1:
             raise ContractError("encoder needs at least one stage")
+        if min(self.stage_channels) < 1:
+            raise ContractError(f"every stage needs a channel, got {self.stage_channels}")
         for st, k, pad in zip(self.strides, self.kernels, self.pads):
             if st < 1 or k < 1:
                 raise ContractError(f"bad stride/kernel: {st}/{k}")
             # the rule lives with the op; checking it here fails a bad config
             # at construction instead of at the first forward pass
             ad.check_conv2d_geometry(k, st, pad)
+        if self.input_size < 1:
+            raise ContractError(f"input size {self.input_size} not positive")
         if self.input_size % self.total_stride != 0:
             raise ContractError(
                 f"input size {self.input_size} not divisible by total stride {self.total_stride}")

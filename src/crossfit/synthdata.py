@@ -610,54 +610,60 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
     root = os.path.abspath(data_dir)
     samples = []
     seen_ids: set[int] = set()
-    with open(manifest, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"manifest line {line_no}: bad JSON ({err})") from None
-            if not isinstance(rec, dict):
-                raise DataError(f"manifest line {line_no}: not a JSON object")
-            missing = [k for k in _MANIFEST_KEYS if k not in rec]
-            eye = rec.get("eye_id", f"<line {line_no}>")
-            if missing:
-                raise DataError(f"eye {eye}: manifest record missing {missing}")
-            for k in ("eye_id", "grade"):
-                if isinstance(rec[k], bool) or not isinstance(rec[k], int):
-                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not an integer")
-            if eye in seen_ids:
-                raise DataError(f"eye {eye}: duplicate eye_id (line {line_no})")
-            seen_ids.add(eye)
-            for k in ("od1_x", "od1_y", "od2_x", "od2_y"):
-                if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
-                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a number")
-                if not (0.0 <= rec[k] <= 1.0):
-                    raise DataError(f"eye {eye}: {k}={rec[k]} outside [0,1]")
-            if not (0 <= rec["grade"] < num_classes):
-                raise DataError(f"eye {eye}: grade {rec['grade']} outside [0,{num_classes})")
-            paths = []
-            for k in ("field1_path", "field2_path"):
-                if not isinstance(rec[k], str):
-                    raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a path")
-                p = os.path.normpath(os.path.join(root, rec[k]))
-                if os.path.isabs(rec[k]) or os.path.commonpath([root, p]) != root:
-                    raise DataError(f"eye {eye}: {k}={rec[k]!r} leaves the data directory")
-                if not os.path.isfile(p):
-                    raise DataError(f"eye {eye}: missing image file {rec[k]}")
-                paths.append(p)
-            img1 = read_ppm(paths[0]).astype(np.float32) / 255.0
-            img2 = read_ppm(paths[1]).astype(np.float32) / 255.0
-            want = samples[0].image1.shape if samples else img1.shape
-            for k, img in (("field1_path", img1), ("field2_path", img2)):
-                if img.shape != want:
-                    raise DataError(f"eye {eye}: {k} is {img.shape[1]}x{img.shape[0]}, "
-                                    f"expected {want[1]}x{want[0]} like the other images")
-            samples.append(TwoFieldSample(
-                img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
-                RelCoord(rec["od2_x"], rec["od2_y"]), int(rec["grade"]),
-                int(rec["eye_id"]), bool(rec["split_evidence"])))
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise DataError(f"{manifest}: not UTF-8 text ({err})") from None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as err:  # the latter: nested too deep
+            raise DataError(f"manifest line {line_no}: bad JSON ({err})") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"manifest line {line_no}: not a JSON object")
+        missing = [k for k in _MANIFEST_KEYS if k not in rec]
+        eye = rec.get("eye_id", f"<line {line_no}>")
+        if missing:
+            raise DataError(f"eye {eye}: manifest record missing {missing}")
+        for k in ("eye_id", "grade"):
+            if isinstance(rec[k], bool) or not isinstance(rec[k], int):
+                raise DataError(f"eye {eye}: {k}={rec[k]!r} is not an integer")
+        if not -2**63 <= eye < 2**63:
+            raise DataError(f"eye {eye}: eye_id does not fit in 64 bits")
+        if eye in seen_ids:
+            raise DataError(f"eye {eye}: duplicate eye_id (line {line_no})")
+        seen_ids.add(eye)
+        for k in ("od1_x", "od1_y", "od2_x", "od2_y"):
+            if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
+                raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a number")
+            if not (0.0 <= rec[k] <= 1.0):
+                raise DataError(f"eye {eye}: {k}={rec[k]} outside [0,1]")
+        if not (0 <= rec["grade"] < num_classes):
+            raise DataError(f"eye {eye}: grade {rec['grade']} outside [0,{num_classes})")
+        paths = []
+        for k in ("field1_path", "field2_path"):
+            if not isinstance(rec[k], str):
+                raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a path")
+            p = os.path.normpath(os.path.join(root, rec[k]))
+            if os.path.isabs(rec[k]) or os.path.commonpath([root, p]) != root:
+                raise DataError(f"eye {eye}: {k}={rec[k]!r} leaves the data directory")
+            if not os.path.isfile(p):
+                raise DataError(f"eye {eye}: missing image file {rec[k]}")
+            paths.append(p)
+        img1 = read_ppm(paths[0]).astype(np.float32) / 255.0
+        img2 = read_ppm(paths[1]).astype(np.float32) / 255.0
+        want = samples[0].image1.shape if samples else img1.shape
+        for k, img in (("field1_path", img1), ("field2_path", img2)):
+            if img.shape != want:
+                raise DataError(f"eye {eye}: {k} is {img.shape[1]}x{img.shape[0]}, "
+                                f"expected {want[1]}x{want[0]} like the other images")
+        samples.append(TwoFieldSample(
+            img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
+            RelCoord(rec["od2_x"], rec["od2_y"]), int(rec["grade"]),
+            int(rec["eye_id"]), bool(rec["split_evidence"])))
     if not samples:
         raise DataError(f"{manifest}: no records")
     return ArrayDataset.from_samples(samples)

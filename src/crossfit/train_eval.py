@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from collections import OrderedDict
@@ -51,8 +52,8 @@ class TrainConfig:
         # lr = 0 is allowed (freezes parameters, useful as a sanity mode)
         if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ContractError("negative optimizer hyperparameter")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ContractError("batch size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
+            raise ContractError("batch size must be >= 1, epochs and seed >= 0")
 
 
 def sgd_momentum_step(params: dict[str, Tensor], velocities: dict[str, np.ndarray],
@@ -387,10 +388,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<H", blob[4:6])
+    if len(blob) < 10:
+        raise CheckpointError(f"{path}: truncated header")
+    version, header_len = struct.unpack("<HI", blob[4:10])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack("<I", blob[6:10])
     header_end = 10 + header_len
     if len(blob) < header_end:
         raise CheckpointError(f"{path}: truncated header")
@@ -400,8 +402,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         step = header["train_state"]["step"]
         index = [(e["name"], tuple(e["shape"]), e["offset"], e["length"])
                  for e in header["tensors"]]
-    except (ValueError, KeyError, TypeError) as err:
-        # ValueError covers undecodable UTF-8 and malformed JSON
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
+        # ValueError covers undecodable UTF-8 and malformed JSON,
+        # RecursionError JSON nested too deep to decode
         raise CheckpointError(f"{path}: corrupt header ({err!r})") from None
     payload = blob[header_end:]
     if len(payload) != payload_bytes:
@@ -409,11 +412,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: truncated payload ({len(payload)} of {payload_bytes} bytes)")
     tensors = OrderedDict()
     for name, shape, off, length in index:
-        # counts first: a negative dimension pair keeps the product intact
-        if (not all(_is_count(v) for v in (*shape, off, length))
-                or length != int(np.prod(shape, dtype=np.int64)) * 4
+        # counts first: a negative dimension pair keeps the product intact;
+        # math.prod on Python ints cannot wrap around as an int64 product can
+        if (not isinstance(name, str)
+                or not all(_is_count(v) for v in (*shape, off, length))
+                or length != math.prod(shape) * 4
                 or off + length > len(payload)):
             raise CheckpointError(f"{path}: corrupt index entry for tensor {name}")
-        tensors[name] = np.frombuffer(
-            payload[off:off + length], dtype="<f4").reshape(shape).copy()
+        try:
+            arr = np.frombuffer(payload[off:off + length], dtype="<f4").reshape(shape)
+        except ValueError:  # an extent numpy cannot index, beside a 0 extent
+            raise CheckpointError(f"{path}: corrupt index entry for tensor {name}") from None
+        tensors[name] = arr.copy()
     return Checkpoint(config, tensors, step)

@@ -310,6 +310,10 @@ def test_cfg_contracts():
         CfaConfig(d_t=12, heads=5)
     with pytest.raises(ContractError):
         CfaConfig(threshold=-0.1)
+    with pytest.raises(ContractError):
+        CfaConfig(heads=0)
+    with pytest.raises(ContractError):
+        CfaConfig(d_t=0)
 
 
 def test_record_export_round_trip(tmp_path):

@@ -1,15 +1,18 @@
 """End-to-end command tests: every subcommand through main(), no subprocesses."""
 
+import argparse
 import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crossfit import autodiff as ad
 from crossfit import synthdata as sd
-from crossfit.cli import _DEFAULTS, main
+from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
+from crossfit.model import CrossFiTModel
 
 
 def run_cli(*argv):
@@ -115,6 +118,41 @@ class TestTrain:
             json.dump({"cfa.layer_count": 3}, fh)
         assert run_cli("train", "--data", data_dir, "--config", cfg_path,
                        "--out", str(tmp_path / "m.bin")) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("data.train_frac", "0.8"),
+        ("data.train_frac", None),
+        ("cfa.layers", 1.5),
+        ("train.epochs", 1.5),
+        ("train.batch_size", 2.5),
+        ("encoder.input_size", 64.0),
+        ("model.num_classes", 5.0),
+        ("cfa.heads", True),
+        ("model.mask", "yes"),
+        ("train.hflip", "no"),
+        ("model.strategy", 1),
+        ("encoder.stage_channels", 192),
+        ("encoder.stride", [16.0]),
+        ("encoder.kernel", "15"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, data_dir, tmp_path, capsys,
+                                                 key, value):
+        cfg_path = str(tmp_path / "bad.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({key: value}, fh)
+        assert run_cli("train", "--data", data_dir, "--config", cfg_path,
+                       "--out", str(tmp_path / "m.bin")) == 2
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    def test_config_types_that_are_accepted(self, tmp_path):
+        cfg_path = str(tmp_path / "ok.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"encoder.stride": [16], "encoder.kernel": 15, "train.lr": 1,
+                       "cfa.threshold": 0, "model.mask": False}, fh)
+        cfg = _merged_config(argparse.Namespace(config=cfg_path))
+        model_cfg, train_cfg, _ = _build_configs(cfg)
+        assert model_cfg.encoder.strides == (16,) and model_cfg.cfa.threshold == 0
+        assert train_cfg.lr == 1 and model_cfg.mask_enabled is False
 
     @pytest.mark.parametrize("case, message", [
         ("parent_path", "leaves the data directory"),
@@ -402,9 +440,44 @@ class TestDtypeScope:
             assert ad.default_dtype() is np.float64, argv[0]
 
 
+_SMALL_INTS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3, 24))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 24), st.floats(-2.0, 70.0),
+              st.sampled_from([float("nan"), float("inf")]), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=5)
+
+
 class TestConfigDefaults:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.dictionaries(st.sampled_from(sorted(_DEFAULTS)), _JSON_VALUES, max_size=4),
+        st.dictionaries(st.sampled_from(sorted(_DEFAULTS)),
+                        st.one_of(_SMALL_INTS, st.lists(_SMALL_INTS, min_size=1, max_size=3)),
+                        max_size=3),
+        _JSON_VALUES,
+        st.binary(max_size=40)))
+    @example(b'{"cfa.d_t": 0}')
+    @example(b'{"cfa.heads": 0}')
+    @example(b'{"train.seed": -1}')
+    @example(b'{"encoder.stage_channels": [8, -1]}')
+    @example(b'{"encoder.input_size": -16}')
+    @example(b'{"train.lr": 0.1}\n\xff')
+    @example(b'{"cfa.layers": ' + b"[" * 100_000 + b"}")
+    def test_config_fuzz_raises_only_usage_error(self, tmp_path_factory, doc):
+        """Whatever a config file holds, loading it and building the model it
+        describes either works or raises UsageError."""
+        path = tmp_path_factory.mktemp("cfg") / "fuzz.json"
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        try:
+            model_cfg, train_cfg, _ = _build_configs(
+                _merged_config(argparse.Namespace(config=str(path))))
+        except UsageError:
+            return
+        CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
+
     def test_defaults_are_consistent(self):
-        from crossfit.cli import _build_configs
         model_cfg, train_cfg, frac = _build_configs(dict(_DEFAULTS))
         assert model_cfg.cfa.d_t % model_cfg.cfa.heads == 0
         assert model_cfg.cfa.d_t % 4 == 0

@@ -52,6 +52,10 @@ def test_config_divisibility_contract():
         EncoderConfig(stage_channels=(4, 8, 8), input_size=20)
     with pytest.raises(ContractError):
         EncoderConfig(stage_channels=())
+    with pytest.raises(ContractError):
+        EncoderConfig(stage_channels=(4, 0), input_size=16)
+    with pytest.raises(ContractError):
+        EncoderConfig(input_size=0)
 
 
 def test_batched_matches_single():

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossfit.geometry import RelCoord
 from crossfit.synthdata import (
@@ -379,6 +379,31 @@ def _tree_digest(d):
     return h.hexdigest()
 
 
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4)
+_GOOD_RECORD = {"eye_id": 0, "field1_path": "a.ppm", "field2_path": "b.ppm",
+                "od1_x": 0.5, "od1_y": 0.5, "od2_x": 0.5, "od2_y": 0.5,
+                "grade": 1, "split_evidence": False}
+_PATHS = st.sampled_from(["a.ppm", "b.ppm", "small.ppm", "junk.ppm", "none.ppm",
+                          "../a.ppm", "/a.ppm", ".", "", "manifest.jsonl"])
+_MANIFEST_RECORD = st.fixed_dictionaries({
+    "eye_id": st.integers(0, 2), "field1_path": _PATHS, "field2_path": _PATHS,
+    "od1_x": st.floats(-0.5, 1.5), "od1_y": st.floats(0, 1), "od2_x": st.floats(0, 1),
+    "od2_y": st.floats(0, 1), "grade": st.integers(-1, 5), "split_evidence": st.booleans()})
+# a well-formed record with one key dropped or given an odd value
+_ODD_MANIFEST_RECORD = st.builds(
+    lambda rec, key, value, drop: ({k: v for k, v in rec.items() if k != key} if drop
+                                   else dict(rec, **{key: value})),
+    _MANIFEST_RECORD, st.sampled_from(sorted(_GOOD_RECORD)),
+    st.one_of(st.sampled_from([None, True, 2**63, 2**70, -1, 1.5, float("nan"), "0", [0], {}]),
+              _JSON_VALUE),
+    st.booleans())
+
+
 class TestPersistence:
     def test_ppm_round_trip(self, tmp_path):
         img = (np.arange(4 * 5 * 3, dtype=np.uint8)).reshape(4, 5, 3)
@@ -424,6 +449,30 @@ class TestPersistence:
         except DataError:
             return
         assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.one_of(_MANIFEST_RECORD, _ODD_MANIFEST_RECORD, _JSON_VALUE), max_size=3)
+        .map(lambda recs: "".join(json.dumps(r) + "\n" for r in recs).encode())))
+    @example(b'{"eye_id": 0}\n\xff\n')
+    @example(b'{"eye_id": ' + b"[" * 100_000 + b"\n")
+    @example((json.dumps(dict(_GOOD_RECORD, eye_id=2**70)) + "\n").encode())
+    def test_load_dataset_fuzz_raises_only_data_error(self, tmp_path_factory, manifest):
+        """Whatever the manifest holds, `load_dataset` returns a dataset or
+        raises DataError. The directory holds two 8x8 images, one 4x4 image
+        and one file that is no PPM."""
+        d = tmp_path_factory.mktemp("dsfuzz")
+        write_ppm(str(d / "a.ppm"), np.zeros((8, 8, 3), np.uint8))
+        write_ppm(str(d / "b.ppm"), np.full((8, 8, 3), 9, np.uint8))
+        write_ppm(str(d / "small.ppm"), np.zeros((4, 4, 3), np.uint8))
+        (d / "junk.ppm").write_bytes(b"P6\n8 8\n255\n")
+        (d / "manifest.jsonl").write_bytes(manifest)
+        try:
+            ds = load_dataset(str(d))
+        except DataError:
+            return
+        assert ds.images1.shape == ds.images2.shape and len(ds.grades) >= 1
 
     def test_ppm_non_integer_dim_rejected(self, tmp_path):
         p = str(tmp_path / "t.ppm")

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, Tensor, make_rng, parameter
@@ -14,7 +15,7 @@ from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import (
-    Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
     build_model_from_checkpoint, evaluate, load_checkpoint,
     metrics_from_predictions, model_config_from_dict, model_config_to_dict,
     quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
@@ -121,6 +122,8 @@ def test_train_config_contracts():
         TrainConfig(lr=-0.1)
     with pytest.raises(ContractError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ContractError):
+        TrainConfig(seed=-1)
     TrainConfig(lr=0.0)  # explicitly allowed
 
 
@@ -450,3 +453,74 @@ def test_checkpoint_cross_config_no_partial_load(tmp_path):
         ckpt.restore(other)
     for n, p in other.parameters():
         np.testing.assert_array_equal(p.data, before[n])
+
+
+def _checkpoint_blob(header: dict, payload: bytes) -> bytes:
+    raw = json.dumps(header).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(raw)) + raw + payload
+
+
+_VALID_CKPT = _checkpoint_blob(
+    {"config": {"model": {}}, "payload_bytes": 32, "train_state": {"step": 3},
+     "tensors": [{"name": "param/a", "shape": [2, 3], "offset": 0, "length": 24},
+                 {"name": "param/b", "shape": [2], "offset": 24, "length": 8}]},
+    bytes(range(32)))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_EDGE_INTS = st.sampled_from([-4, -1, 0, 2**32, 2**62, 2**64, 2**70])
+_INDEX_ENTRY = st.builds(
+    lambda name, shape, off: {"name": name, "shape": shape, "offset": off,
+                              "length": 4 * math.prod(shape)},
+    st.sampled_from(["param/a", "param/b"]), st.lists(st.integers(0, 2), max_size=3),
+    st.integers(0, 8))
+# a consistent entry with one field swapped for an odd value
+_ODD_INDEX_ENTRY = st.builds(
+    lambda entry, key, value: dict(entry, **{key: value}), _INDEX_ENTRY,
+    st.sampled_from(["name", "shape", "offset", "length"]),
+    st.one_of(_EDGE_INTS, st.sampled_from([None, True, 1.5, "4", [], ["a"], {}]), _JSON,
+              st.lists(st.one_of(st.integers(-1, 3), _EDGE_INTS), min_size=1, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=24).map(lambda tail: CHECKPOINT_MAGIC + tail),
+    st.binary(max_size=64),
+    st.builds(lambda cut, flips: bytes(
+                  b if i not in flips else flips[i] for i, b in enumerate(_VALID_CKPT[:cut])),
+              st.integers(0, len(_VALID_CKPT)),
+              st.dictionaries(st.integers(0, len(_VALID_CKPT) - 1), st.integers(0, 255),
+                              max_size=3)),
+    st.builds(lambda header, payload: _checkpoint_blob(header, payload),
+              _JSON, st.binary(max_size=8)),
+    st.builds(lambda header, payload, honest: _checkpoint_blob(
+                  dict(header, payload_bytes=len(payload)) if honest else header, payload),
+              st.fixed_dictionaries({
+                  "config": _JSON, "payload_bytes": st.one_of(st.integers(0, 64), _JSON),
+                  "train_state": st.one_of(st.fixed_dictionaries({"step": _JSON}), _JSON),
+                  "tensors": st.one_of(st.lists(st.one_of(_INDEX_ENTRY, _ODD_INDEX_ENTRY),
+                                                max_size=3), _JSON)}),
+              st.binary(min_size=40, max_size=64), st.booleans())))
+@example(CHECKPOINT_MAGIC)
+@example(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, 100_000) + b"[" * 100_000)
+@example(_checkpoint_blob(   # an unhashable tensor name
+    {"config": {}, "payload_bytes": 8, "train_state": {"step": 0},
+     "tensors": [{"name": ["a"], "shape": [2], "offset": 0, "length": 8}]}, bytes(8)))
+@example(_checkpoint_blob(   # the extents' int64 product wraps around to 0
+    {"config": {}, "payload_bytes": 0, "train_state": {"step": 0},
+     "tensors": [{"name": "a", "shape": [2**32, 2**32], "offset": 0, "length": 0}]}, b""))
+@example(_checkpoint_blob(   # zero elements, but extents too large for numpy
+    {"config": {}, "payload_bytes": 0, "train_state": {"step": 0},
+     "tensors": [{"name": "a", "shape": [0, 2**62], "offset": 0, "length": 0}]}, b""))
+def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("ckfuzz") / "f.ckpt"
+    path.write_bytes(blob)
+    try:
+        ckpt = load_checkpoint(str(path))
+    except CheckpointError:
+        return
+    for name, arr in ckpt.tensors.items():
+        assert isinstance(name, str) and arr.dtype == np.float32
