@@ -34,7 +34,7 @@ __all__ = [
     "softmax_lastdim", "layer_norm", "conv2d", "check_conv2d_geometry",
     "cross_entropy_logits",
     "sum_", "mean_", "maximum", "concat", "reshape", "transpose",
-    "slice_", "linear", "global_avg_pool", "gradcheck",
+    "slice_", "linear", "gradcheck",
     "Linear", "LayerNorm", "xavier_uniform",
 ]
 
@@ -468,11 +468,6 @@ def mean_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         ax = (axes,) if isinstance(axes, int) else tuple(axes)
         count = int(np.prod([x.shape[a] for a in ax]))
     return scale(sum_(x, axes=axes, keepdims=keepdims), 1.0 / count)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over all but the last axis (spatial pooling of ...xd features)."""
-    return mean_(x, axes=tuple(range(x.ndim - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .geometry import (aligned_position_embeddings, field1_grid, regular_coords,
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, TrainConfig, TrainingDiverged,
                          build_model_from_checkpoint, evaluate, load_checkpoint,
+                         metrics_from_predictions, predict_dataset,
                          quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint,
                          train)
 
@@ -165,9 +166,13 @@ def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
     except ContractError as err:
         raise UsageError(f"inconsistent configuration: {err}") from None
     frac = cfg["data.train_frac"]
-    if not (0.0 < frac < 1.0):
-        raise UsageError(f"data.train_frac {frac} outside (0,1)")
+    _check_train_frac("data.train_frac", frac)
     return model_cfg, train_cfg, frac
+
+
+def _check_train_frac(name: str, frac: float) -> None:
+    if not (0.0 < frac < 1.0):
+        raise UsageError(f"{name} {frac} outside (0,1)")
 
 
 def _check_dataset_fit(data: sd.ArrayDataset, model_cfg: CrossFiTConfig) -> None:
@@ -196,14 +201,18 @@ def _emit(obj: dict) -> None:
     print(json.dumps(_g6(obj)))
 
 
+def _split(data: sd.ArrayDataset, frac: float):
+    """(train, test) parts of `data`; each must keep at least one eye."""
+    train_set, test_set = data.train_test_split(frac)
+    if len(train_set) == 0 or len(test_set) == 0:
+        raise UsageError(f"train fraction {frac} splits {len(data)} eyes into "
+                         f"{len(train_set)} train and {len(test_set)} test; "
+                         f"each part needs at least one eye")
+    return train_set, test_set
+
+
 def _load_split(data_dir: str, num_classes: int, frac: float):
-    data = sd.load_dataset(data_dir, num_classes=num_classes)
-    return data.train_test_split(frac)
-
-
-def _split_subset(ds: sd.ArrayDataset) -> sd.ArrayDataset | None:
-    idx = np.flatnonzero(ds.split_evidence)
-    return ds.subset(idx) if idx.size else None
+    return _split(sd.load_dataset(data_dir, num_classes=num_classes), frac)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +273,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_train_frac("--train-frac", args.train_frac)
     try:
         ckpt = load_checkpoint(args.ckpt)
     except FileNotFoundError:
@@ -273,7 +283,7 @@ def cmd_eval(args) -> int:
         data = sd.load_dataset(args.data, num_classes=model.cfg.num_classes)
         _check_dataset_fit(data, model.cfg)
         if args.subset != "all":
-            train_part, test_part = data.train_test_split(args.train_frac)
+            train_part, test_part = _split(data, args.train_frac)
             data = train_part if args.subset == "train" else test_part
         report = evaluate(model, data).to_dict()
     report["subset"] = args.subset
@@ -300,12 +310,14 @@ def _train_eval_cell(payload: tuple) -> dict:
     model_cfg, train_cfg, frac = _build_configs(cfg)
     train_set, test_set = _load_split(data_dir, model_cfg.num_classes, frac)
     _check_dataset_fit(train_set, model_cfg)
-    sub = _split_subset(test_set)
     with ad.default_dtype_scope(np.float32):
         model = CrossFiTModel(ad.make_rng(seed), model_cfg)
         train(model, train_set, train_cfg)
-        m = evaluate(model, test_set)
-        split_acc = evaluate(model, sub).accuracy if sub is not None else None
+        grades, probs = predict_dataset(model, test_set)
+    m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
+    split = test_set.split_evidence
+    hits = grades[split] == test_set.grades[split]
+    split_acc = float(hits.mean()) if hits.size else None
     return {"strategy": strategy, "seed": seed, "kappa": m.kappa,
             "accuracy": m.accuracy, "macro_auc": m.macro_auc, "split_acc": split_acc}
 
@@ -342,10 +354,21 @@ def _mean(vals):
     return float(np.mean(vals)) if vals else None
 
 
+_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
+
+
 def _mean_metrics(cells: list) -> dict:
     """Seed-averaged metrics of a group of cells, None where none is defined."""
-    return {k: _mean(c[k] for c in cells)
-            for k in ("kappa", "accuracy", "macro_auc", "split_acc")}
+    return {k: _mean(c[k] for c in cells) for k in _METRICS}
+
+
+def _print_rows(rows: list, key: str, align: str, fmt: str) -> None:
+    """A table of `rows`: the `key` column, then each metric, --- if undefined."""
+    print(f"{key:{align}}{'kappa':>10}{'acc':>10}{'macro-auc':>12}{'split-acc':>12}")
+    for r in rows:
+        kappa, acc, auc, split = ("---" if r[k] is None else f"{r[k]:.4f}"
+                                  for k in _METRICS)
+        print(f"{r[key]:{align}{fmt}}{kappa:>10}{acc:>10}{auc:>12}{split:>12}")
 
 
 def cmd_compare(args) -> int:
@@ -368,14 +391,7 @@ def cmd_compare(args) -> int:
     table = {"seeds": seeds, "rows": rows, "cells": cells}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
-
-    def cell_text(v):
-        return "---" if v is None else f"{v:.4f}"
-
-    print(f"{'strategy':<16}{'kappa':>10}{'acc':>10}{'macro-auc':>12}{'split-acc':>12}")
-    for r in rows:
-        print(f"{r['strategy']:<16}{cell_text(r['kappa']):>10}{cell_text(r['accuracy']):>10}"
-              f"{cell_text(r['macro_auc']):>12}{cell_text(r['split_acc']):>12}")
+    _print_rows(rows, "strategy", "<16", "")
     _emit({"report": args.report, "rows": rows})
     return 0
 
@@ -406,11 +422,7 @@ def cmd_sweep(args) -> int:
     table = {"seeds": seeds, "strategy": base["model.strategy"], "rows": rows}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
-    print(f"{'threshold':>10}{'kappa':>10}{'acc':>10}{'macro-auc':>12}{'split-acc':>12}")
-    for r in rows:
-        sa = "---" if r["split_acc"] is None else f"{r['split_acc']:.4f}"
-        print(f"{r['threshold']:>10.4g}{r['kappa']:>10.4f}{r['accuracy']:>10.4f}"
-              f"{r['macro_auc']:>12.4f}{sa:>12}")
+    _print_rows(rows, "threshold", ">10", ".4g")
     _emit({"report": args.report, "rows": rows})
     return 0
 

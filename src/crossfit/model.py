@@ -24,8 +24,8 @@ from .encoder import Encoder, EncoderConfig
 from .geometry import aligned_position_embeddings, regular_position_embedding
 
 __all__ = [
-    "STRATEGIES", "PE_MODES", "CrossFiTConfig", "Prediction", "CrossFiTModel",
-    "fuse", "softmax_np",
+    "STRATEGIES", "PE_MODES", "CrossFiTConfig", "CrossFiTModel",
+    "fuse", "fuse_decisions", "softmax_np",
 ]
 
 STRATEGIES = ("crossfit", "feat_max", "feat_avg", "feat_concat",
@@ -59,21 +59,10 @@ class CrossFiTConfig:
 
 
 def softmax_np(logits: np.ndarray) -> np.ndarray:
+    """Float64 softmax over the last axis, whatever the logits' dtype."""
+    logits = np.asarray(logits, dtype=np.float64)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-@dataclass
-class Prediction:
-    logits: np.ndarray
-    probabilities: np.ndarray
-    grade: int
-
-    @classmethod
-    def from_logits(cls, logits: np.ndarray) -> "Prediction":
-        logits = np.asarray(logits, dtype=np.float64)
-        probs = softmax_np(logits)
-        return cls(logits, probs, int(np.argmax(probs)))
 
 
 def _masked_mean(x: Tensor, mask: np.ndarray | None) -> Tensor:
@@ -93,6 +82,20 @@ def fuse(g1: Tensor, g2: Tensor, strategy: str) -> Tensor:
     if strategy == "feat_concat":
         return ad.concat([g1, g2], axis=-1)
     raise ContractError(f"{strategy!r} is not a feature-level strategy")
+
+
+def fuse_decisions(logits1: np.ndarray, logits2: np.ndarray, strategy: str) -> np.ndarray:
+    """Each field's (b, C) logits -> (b, C) float64 probabilities per eye.
+
+    pred_max adopts the whole softmax of the field with the severer argmax
+    grade (field 1 on a tie); pred_avg averages the two softmaxes."""
+    p1, p2 = softmax_np(logits1), softmax_np(logits2)
+    if strategy == "pred_max":
+        first = p1.argmax(axis=-1) >= p2.argmax(axis=-1)
+        return np.where(first[:, None], p1, p2)
+    if strategy == "pred_avg":
+        return (p1 + p2) / 2.0
+    raise ContractError(f"{strategy!r} is not a decision-level strategy")
 
 
 class CrossFiTModel:
@@ -225,21 +228,12 @@ class CrossFiTModel:
                           ad.cross_entropy_logits(l2, labels))
         return ad.cross_entropy_logits(out, labels)
 
-    def predict_batch(self, imgs1, imgs2, od1, od2) -> list[Prediction]:
+    def predict_batch(self, imgs1, imgs2, od1, od2) -> tuple[np.ndarray, np.ndarray]:
+        """(grades, probs): int64 (b,) argmax grades, float64 (b, C) softmax."""
         with ad.no_grad():
             out, _ = self.forward_batch(imgs1, imgs2, od1, od2)
-        if not isinstance(out, tuple):
-            return [Prediction.from_logits(row) for row in out.data]
-        l1, l2 = out[0].data, out[1].data
-        preds = []
-        for i in range(l1.shape[0]):
-            preds.append(self._fuse_decision(l1[i], l2[i]))
-        return preds
-
-    def _fuse_decision(self, logits1: np.ndarray, logits2: np.ndarray) -> Prediction:
-        p1, p2 = Prediction.from_logits(logits1), Prediction.from_logits(logits2)
-        if self.cfg.strategy == "pred_max":
-            # adopt the severer field's whole distribution
-            return p1 if p1.grade >= p2.grade else p2
-        avg = (p1.probabilities + p2.probabilities) / 2.0
-        return Prediction(np.log(avg), avg, int(np.argmax(avg)))
+        if isinstance(out, tuple):
+            probs = fuse_decisions(out[0].data, out[1].data, self.cfg.strategy)
+        else:
+            probs = softmax_np(out.data)
+        return probs.argmax(axis=-1).astype(np.int64), probs

@@ -144,12 +144,9 @@ def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
     grades = np.zeros(n, dtype=np.int64)
     probs = np.zeros((n, model.cfg.num_classes))
     for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        preds = model.predict_batch(dataset.images1[sl], dataset.images2[sl],
-                                    dataset.od1[sl], dataset.od2[sl])
-        for i, pred in enumerate(preds):
-            grades[start + i] = pred.grade
-            probs[start + i] = pred.probabilities
+        sl = slice(start, start + batch_size)
+        grades[sl], probs[sl] = model.predict_batch(
+            dataset.images1[sl], dataset.images2[sl], dataset.od1[sl], dataset.od2[sl])
     return grades, probs
 
 
@@ -350,9 +347,10 @@ def build_model_from_checkpoint(ckpt: Checkpoint,
                                 rng: np.random.Generator | None = None) -> CrossFiTModel:
     try:
         cfg = model_config_from_dict(ckpt.config["model"])
+        # a mistyped value (num_classes 5.5) may fail only when layers are sized
+        model = CrossFiTModel(rng or ad.make_rng(0), cfg)
     except (KeyError, TypeError, ContractError) as err:
         raise CheckpointError(f"checkpoint holds no valid model config ({err!r})") from None
-    model = CrossFiTModel(rng or ad.make_rng(0), cfg)
     ckpt.restore(model)
     return model
 

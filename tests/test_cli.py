@@ -47,6 +47,13 @@ def tiny_config(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def two_eyes(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ds2") / "eyes")
+    assert run_cli("gen-data", "--out", path, "--n", "2", "--seed", "5") == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def trained_ckpt(tmp_path_factory, data_dir, tiny_config):
     out = str(tmp_path_factory.mktemp("ck") / "model.bin")
     code = run_cli("train", "--data", data_dir, "--config", tiny_config,
@@ -183,6 +190,14 @@ class TestTrain:
                        "--out", str(tmp_path / "m.bin")) == 2
         assert message in capsys.readouterr().err
 
+    def test_split_without_train_eyes_exits_2(self, two_eyes, tmp_path, capsys):
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"data.train_frac": 0.1}, fh)
+        assert run_cli("train", "--data", two_eyes, "--config", cfg_path,
+                       "--out", str(tmp_path / "m.bin")) == 2
+        assert "0 train and 2 test" in capsys.readouterr().err
+
     def test_flag_overrides_config_file(self, data_dir, tmp_path, capsys):
         cfg_path = str(tmp_path / "c.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -270,6 +285,38 @@ class TestEval:
                        "--report", str(tmp_path / "r.json")) == 2
         assert "is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 5.5), ("num_classes", 5.0), ("cfa.layers", 1.5),
+        ("encoder.stage_channels", [24.0]),
+    ])
+    def test_mistyped_model_config_exits_2(self, trained_ckpt, data_dir, tmp_path,
+                                           capsys, key, value):
+        blob = open(trained_ckpt, "rb").read()
+        (hlen,) = struct.unpack("<I", blob[6:10])
+        header = json.loads(blob[10:10 + hlen].decode())
+        section, _, name = key.rpartition(".")
+        target = header["config"]["model"]
+        (target[section] if section else target)[name] = value
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "typed.bin"
+        bad.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + hlen:])
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(tmp_path / "r.json")) == 2
+        assert "no valid model config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subset, frac, message", [
+        ("test", "1.0", "--train-frac 1.0 outside (0,1)"),
+        ("all", "0", "--train-frac 0.0 outside (0,1)"),
+        ("test", "0.99", "24 train and 0 test"),
+        ("train", "0.01", "0 train and 24 test"),
+    ])
+    def test_train_frac_without_eyes_exits_2(self, trained_ckpt, data_dir, tmp_path,
+                                             capsys, subset, frac, message):
+        assert run_cli("eval", "--data", data_dir, "--ckpt", trained_ckpt,
+                       "--report", str(tmp_path / "r.json"), "--subset", subset,
+                       "--train-frac", frac) == 2
+        assert message in capsys.readouterr().err
+
     def test_subset_split(self, trained_ckpt, data_dir, tmp_path):
         rep_tr = str(tmp_path / "tr.json")
         rep_te = str(tmp_path / "te.json")
@@ -306,6 +353,11 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "bogus" in err and "feat_max" in err and "crossfit" in err
 
+    def test_split_without_test_eyes_exits_2(self, two_eyes, tmp_path, capsys):
+        assert run_cli("compare", "--data", two_eyes, "--strategies", "feat_max",
+                       "--seeds", "1", "--report", str(tmp_path / "x.json")) == 2
+        assert "2 train and 0 test" in capsys.readouterr().err
+
     def test_bad_seeds(self, data_dir, tmp_path):
         assert run_cli("compare", "--data", data_dir, "--strategies", "feat_max",
                        "--seeds", "one,two",
@@ -323,6 +375,20 @@ class TestSweep:
         assert [r["threshold"] for r in table["rows"]] == [0.02, 0.04, 0.06, 0.08, 0.10]
         for row in table["rows"]:
             assert np.isfinite(row["kappa"])
+
+    def test_undefined_metric_prints_dashes(self, tmp_path, capsys):
+        # one test eye: every class AUC, so the macro mean, is undefined
+        path = str(tmp_path / "eyes")
+        assert run_cli("gen-data", "--out", path, "--n", "5", "--seed", "5") == 0
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"cfa.layers": 1, "train.epochs": 1}, fh)
+        capsys.readouterr()
+        assert run_cli("sweep", "--data", path, "--config", cfg_path,
+                       "--thresholds", "0.06", "--report", str(tmp_path / "s.json")) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert header.split() == ["threshold", "kappa", "acc", "macro-auc", "split-acc"]
+        assert row.split()[0] == "0.06" and row.split()[3] == "---"
 
     def test_bad_threshold_grid(self, data_dir, tmp_path):
         assert run_cli("sweep", "--data", data_dir, "--thresholds", "0.2,1.4",

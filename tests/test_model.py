@@ -10,7 +10,7 @@ from crossfit.autodiff import ContractError, Tensor, gradcheck, make_rng
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import (
-    CrossFiTConfig, CrossFiTModel, Prediction, _masked_mean, fuse,
+    CrossFiTConfig, CrossFiTModel, _masked_mean, fuse, fuse_decisions, softmax_np,
 )
 
 
@@ -34,20 +34,31 @@ def rand_pair(seed, s=16, n=1):
 
 
 # ---------------------------------------------------------------------------
-# prediction container
+# batched predictions
+
+
+def _predict_from_bias(bias, n=2):
+    """predict_batch of a feat_max model whose logits are `bias` for every eye."""
+    model = CrossFiTModel(make_rng(0), micro_cfg(strategy="feat_max",
+                                                 num_classes=len(bias)))
+    model.head.w.data[:] = 0.0
+    model.head.b.data[:] = bias
+    return model.predict_batch(*rand_pair(1, n=n))
 
 
 def test_prediction_probs_sum_and_tie_break():
-    p = Prediction.from_logits(np.array([1.0, 1.0, 0.0]))
-    assert abs(p.probabilities.sum() - 1.0) <= 1e-6
-    assert p.grade == 0  # lowest index wins the tie
+    grades, probs = _predict_from_bias([1.0, 1.0, 0.0])
+    assert grades.dtype == np.int64 and grades.shape == (2,)
+    assert probs.dtype == np.float64 and probs.shape == (2, 3)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_array_equal(grades, [0, 0])  # lowest index wins the tie
 
 
 def test_prediction_argmax_shift_invariant():
     logits = make_rng(0).normal(size=6)
-    base = Prediction.from_logits(logits)
-    shifted = Prediction.from_logits(logits + 123.375)
-    assert base.grade == shifted.grade
+    base, _ = _predict_from_bias(logits)
+    shifted, _ = _predict_from_bias(logits + 123.375)
+    np.testing.assert_array_equal(base, shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +107,17 @@ def test_fuse_max_idempotent_commutative():
 def test_crossfit_forward_shapes_and_sanity():
     model = CrossFiTModel(make_rng(3), micro_cfg())
     i1, i2, od1, od2 = rand_pair(4)
-    (pred,) = model.predict_batch(i1, i2, od1, od2)
-    assert pred.logits.shape == (3,)
-    assert abs(pred.probabilities.sum() - 1.0) <= 1e-6
-    assert 0 <= pred.grade < 3
+    (grade,), probs = model.predict_batch(i1, i2, od1, od2)
+    assert probs.shape == (1, 3)
+    assert abs(probs.sum() - 1.0) <= 1e-6
+    assert 0 <= grade < 3
 
 
 def test_crossfit_identical_inputs_no_crash():
     model = CrossFiTModel(make_rng(5), micro_cfg())
     i1, _, od1, _ = rand_pair(6)
-    (pred,) = model.predict_batch(i1, i1, od1, od1)
-    assert 0 <= pred.grade < 3
+    (grade,), _ = model.predict_batch(i1, i1, od1, od1)
+    assert 0 <= grade < 3
 
 
 def test_desk_config_five_logits():
@@ -115,8 +126,8 @@ def test_desk_config_five_logits():
     rng = make_rng(8)
     i1 = rng.uniform(size=(1, 64, 64, 3))
     i2 = rng.uniform(size=(1, 64, 64, 3))
-    (pred,) = model.predict_batch(i1, i2, np.array([[0.5, 0.5]]), np.array([[0.3, 0.5]]))
-    assert pred.logits.shape == (5,)
+    _, probs = model.predict_batch(i1, i2, np.array([[0.5, 0.5]]), np.array([[0.3, 0.5]]))
+    assert probs.shape == (1, 5)
 
 
 def test_feature_baselines_have_no_attention_parameters():
@@ -153,31 +164,61 @@ def _pred_for_grade(grade, c=5):
 
 
 def test_pred_max_takes_severer_grade():
-    model = CrossFiTModel(make_rng(13), micro_cfg(strategy="pred_max", num_classes=5))
-    pred = model._fuse_decision(_pred_for_grade(2), _pred_for_grade(4))
-    assert pred.grade == 4
-    assert pred.grade == int(np.argmax(pred.logits))
+    l1 = np.stack([_pred_for_grade(2), _pred_for_grade(4)])
+    l2 = np.stack([_pred_for_grade(4), _pred_for_grade(2)])
+    probs = fuse_decisions(l1, l2, "pred_max")
+    np.testing.assert_array_equal(probs.argmax(axis=1), [4, 4])
+    # each eye adopts the severer field's whole distribution
+    np.testing.assert_array_equal(probs, softmax_np(np.stack([l2[0], l1[1]])))
+
+
+def test_pred_max_tie_takes_field_1():
+    l1 = np.array([[0.0, 3.0, 1.0]])
+    l2 = np.array([[0.0, 3.0, 2.0]])
+    np.testing.assert_array_equal(fuse_decisions(l1, l2, "pred_max"), softmax_np(l1))
 
 
 def test_pred_avg_hand_values():
-    model = CrossFiTModel(make_rng(14), micro_cfg(strategy="pred_avg", num_classes=2))
-    l1 = np.log(np.array([0.6, 0.4]))
-    l2 = np.log(np.array([0.2, 0.8]))
-    pred = model._fuse_decision(l1, l2)
-    np.testing.assert_allclose(pred.probabilities, [0.4, 0.6], atol=1e-12)
-    assert pred.grade == 1
+    l1 = np.log(np.array([[0.6, 0.4]]))
+    l2 = np.log(np.array([[0.2, 0.8]]))
+    probs = fuse_decisions(l1, l2, "pred_avg")
+    np.testing.assert_allclose(probs, [[0.4, 0.6]], atol=1e-12)
+    assert probs.argmax(axis=1).tolist() == [1]
+    with pytest.raises(ContractError):
+        fuse_decisions(l1, l2, "feat_max")
+
+
+def _fuse_one_eye(l1, l2, strategy):
+    """Reference: the per-eye rule the batched fusion must reproduce bit for bit."""
+    p1, p2 = softmax_np(l1), softmax_np(l2)
+    if strategy == "pred_max":
+        return p1 if np.argmax(p1) >= np.argmax(p2) else p2
+    return (p1 + p2) / 2.0
+
+
+@pytest.mark.parametrize("strategy", ["pred_max", "pred_avg"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fuse_decisions_matches_per_eye_rule(strategy, dtype):
+    rng = make_rng(30)
+    l1 = rng.normal(size=(40, 5)).astype(dtype)
+    l2 = rng.normal(size=(40, 5)).astype(dtype)
+    l1[:20], l2[:20] = np.round(l1[:20]), np.round(l2[:20])  # argmax ties
+    want = np.stack([_fuse_one_eye(a, b, strategy) for a, b in zip(l1, l2)])
+    got = fuse_decisions(l1, l2, strategy)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_decision_identical_fields_match_single():
     for strategy in ("pred_avg", "pred_max"):
         model = CrossFiTModel(make_rng(15), micro_cfg(strategy=strategy))
         i1, _, od1, _ = rand_pair(16)
-        (pred,) = model.predict_batch(i1, i1, od1, od1)
+        grades, probs = model.predict_batch(i1, i1, od1, od1)
         with ad.no_grad():
             (l1, _), _ = model.forward_batch(i1, i1, od1, od1)
-        single = Prediction.from_logits(l1.data[0])
-        assert pred.grade == single.grade
-        np.testing.assert_allclose(pred.probabilities, single.probabilities, atol=1e-12)
+        single = softmax_np(l1.data)
+        np.testing.assert_array_equal(grades, single.argmax(axis=1))
+        np.testing.assert_allclose(probs, single, atol=1e-12)
 
 
 def test_pred_max_dominates_each_field():
@@ -185,10 +226,10 @@ def test_pred_max_dominates_each_field():
     i1, i2, od1, od2 = rand_pair(18, n=3)
     with ad.no_grad():
         (l1, l2), _ = model.forward_batch(i1, i2, od1, od2)
-    preds = model.predict_batch(i1, i2, od1, od2)
-    for i, pred in enumerate(preds):
-        assert pred.grade >= int(np.argmax(l1.data[i]))
-        assert pred.grade >= int(np.argmax(l2.data[i]))
+    grades, _ = model.predict_batch(i1, i2, od1, od2)
+    assert grades.shape == (3,)
+    assert np.all(grades >= np.argmax(l1.data, axis=1))
+    assert np.all(grades >= np.argmax(l2.data, axis=1))
 
 
 # ---------------------------------------------------------------------------
