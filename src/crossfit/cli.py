@@ -29,8 +29,8 @@ from .geometry import (aligned_position_embeddings, field1_grid, regular_coords,
                        regular_position_embedding, sinusoidal_pe)
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, TrainConfig, TrainingDiverged,
-                         build_model_from_checkpoint, evaluate, load_checkpoint,
-                         metrics_from_predictions, predict_dataset,
+                         build_model_from_checkpoint, evaluate, json_type_error,
+                         load_checkpoint, metrics_from_predictions, predict_dataset,
                          quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint,
                          train)
 
@@ -68,35 +68,10 @@ _DEFAULTS = {
 }
 
 
-# keys that also take one value per encoder stage
-_PER_STAGE_KEYS = ("encoder.stride", "encoder.kernel")
-
-
-def _json_type(v) -> str:
-    if isinstance(v, bool):
-        return "true or false"
-    if isinstance(v, int):
-        return "an integer"
-    if isinstance(v, float):
-        return "a number"
-    if isinstance(v, str):
-        return "a string"
-    if isinstance(v, list) and all(_json_type(x) == "an integer" for x in v):
-        return "a list of integers"
-    return type(v).__name__
-
-
 def _check_config_type(key: str, value) -> None:
-    """Each key takes its default's JSON type: an integer key refuses 1.5,
-    2.0 and true, a boolean key refuses "no"; a number key takes integers."""
-    allowed = {_json_type(_DEFAULTS[key])}
-    if "a number" in allowed:
-        allowed.add("an integer")
-    if key in _PER_STAGE_KEYS:
-        allowed.add("a list of integers")
-    if _json_type(value) not in allowed:
-        raise UsageError(f"config key {key!r} must be {' or '.join(sorted(allowed))}, "
-                         f"got {json.dumps(value)}")
+    problem = json_type_error(key, value, _DEFAULTS[key])
+    if problem:
+        raise UsageError(f"config key {key!r} {problem}")
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -10,7 +10,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .autodiff import ContractError, DegenerateRowError, ShapeError, Tensor
@@ -22,8 +21,8 @@ __all__ = [
     "TrainConfig", "TrainingDiverged", "CheckpointError", "MetricsReport",
     "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
     "predict_dataset", "evaluate", "train", "Checkpoint", "save_checkpoint",
-    "load_checkpoint", "model_config_to_dict", "model_config_from_dict",
-    "build_model_from_checkpoint",
+    "load_checkpoint", "json_type_error", "model_config_to_dict",
+    "model_config_from_dict", "build_model_from_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"CFIT"
@@ -101,6 +100,22 @@ def quadratic_weighted_kappa(confusion: np.ndarray) -> float:
     return float(1.0 - (w * o).sum() / denom)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, each tie group given its members' mean rank.
+
+    A group holding sorted positions start..end-1 gets (start + 1 + end) / 2,
+    a half-integer computed exactly, so the ranks equal scipy's
+    `rankdata(x)` bit for bit.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float | None:
     """Probability a random positive outranks a random negative, ties 0.5.
 
@@ -110,11 +125,13 @@ def roc_auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float | None:
     positives = np.asarray(positives, dtype=bool)
     if scores.shape != positives.shape or scores.ndim != 1:
         raise ShapeError("scores and labels must be equal-length vectors")
+    if not np.isfinite(scores).all():
+        raise ContractError("AUC scores must be finite")
     n_pos = int(positives.sum())
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # average ranks handle ties as 0.5
+    ranks = _average_ranks(scores)  # average ranks handle ties as 0.5
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -281,9 +298,65 @@ def _int_or_tuple(v) -> int | tuple[int, ...]:
     return v if isinstance(v, int) else tuple(v)
 
 
+def _json_type(v) -> str:
+    """The JSON type of a config value, in the words an error message uses."""
+    if isinstance(v, bool):
+        return "true or false"
+    if isinstance(v, int):
+        return "an integer"
+    if isinstance(v, float):
+        return "a number"
+    if isinstance(v, str):
+        return "a string"
+    if isinstance(v, list) and all(_json_type(x) == "an integer" for x in v):
+        return "a list of integers"
+    return type(v).__name__
+
+
+# config keys that also take one value per encoder stage
+_PER_STAGE_KEYS = ("encoder.stride", "encoder.kernel")
+
+
+def json_type_error(key: str, value, default) -> str | None:
+    """None when config key `key` may take `value`, else what is wrong.
+
+    A key takes its default's JSON type: an integer key refuses 1.5, 2.0 and
+    true, a boolean key refuses "no"; a number key takes integers, and a
+    per-stage key an integer or a list of integers.
+    """
+    allowed = {_json_type(default)}
+    if "a number" in allowed:
+        allowed.add("an integer")
+    if key in _PER_STAGE_KEYS:
+        allowed |= {"an integer", "a list of integers"}
+    if _json_type(value) in allowed:
+        return None
+    return f"must be {' or '.join(sorted(allowed))}, got {json.dumps(value)}"
+
+
+def _check_model_config_types(d: dict) -> None:
+    """Each value present must have the JSON type `model_config_to_dict`
+    writes for it; a missing key is left to fail where it is read."""
+    template = model_config_to_dict(CrossFiTConfig())
+    for section in ("", "encoder", "cfa"):
+        got, want = (d[section], template[section]) if section else (d, template)
+        if not isinstance(got, dict):
+            continue
+        for key, default in want.items():
+            if key not in got or isinstance(default, dict):
+                continue
+            name = f"{section}.{key}" if section else key
+            problem = json_type_error(name, got[key], default)
+            if problem:
+                raise CheckpointError(
+                    f"checkpoint holds no valid model config: {name} {problem}")
+
+
 def model_config_from_dict(d: dict) -> CrossFiTConfig:
-    """Inverse of `model_config_to_dict`; keys it does not read are ignored,
-    so checkpoints carrying since-removed config fields still load."""
+    """Inverse of `model_config_to_dict`; raises CheckpointError for a value of
+    the wrong JSON type. Keys it does not read are ignored, so checkpoints
+    carrying since-removed config fields still load."""
+    _check_model_config_types(d)
     enc = d["encoder"]
     cfa = d["cfa"]
     return CrossFiTConfig(
@@ -421,5 +494,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             arr = np.frombuffer(payload[off:off + length], dtype="<f4").reshape(shape)
         except ValueError:  # an extent numpy cannot index, beside a 0 extent
             raise CheckpointError(f"{path}: corrupt index entry for tensor {name}") from None
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name} holds NaN or infinite values")
         tensors[name] = arr.copy()
     return Checkpoint(config, tensors, step)

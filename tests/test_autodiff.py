@@ -51,6 +51,24 @@ def test_softmax_degenerate_row_raises():
         ad.softmax_lastdim(tensor([-np.inf, -np.inf]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5,), (3, 7), (16, 4, 32, 32), (2, 0, 3)])
+def test_softmax_row_max_equals_np_max(dtype, shape):
+    rng = make_rng(11)
+    x = rng.standard_normal(shape).astype(dtype)
+    x[rng.uniform(size=shape) < 0.3] = -np.inf     # masked keys
+    if x.size:
+        x.reshape(-1, shape[-1])[:, 0] = 0.5        # keep every row finite
+    want = np.max(x, axis=-1, keepdims=True)
+    for arr in (x, np.swapaxes(x, 0, -1).copy().swapaxes(0, -1)):   # C and strided
+        got = ad._lastdim_max(arr)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    e = np.exp(x - want)
+    assert ad.softmax_lastdim(tensor(x, dtype=dtype)).data.tobytes() == (
+        e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
 def test_layer_norm_oracle():
     x = tensor([[1.0, 3.0]])
     g = tensor(np.ones(2))

@@ -287,7 +287,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value", [
         ("num_classes", 5.5), ("num_classes", 5.0), ("cfa.layers", 1.5),
-        ("encoder.stage_channels", [24.0]),
+        ("encoder.stage_channels", [24.0]), ("mask_enabled", "no"),
     ])
     def test_mistyped_model_config_exits_2(self, trained_ckpt, data_dir, tmp_path,
                                            capsys, key, value):
@@ -303,6 +303,22 @@ class TestEval:
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(tmp_path / "r.json")) == 2
         assert "no valid model config" in capsys.readouterr().err
+
+    def test_non_finite_weights_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
+        blob = bytearray(open(trained_ckpt, "rb").read())
+        (hlen,) = struct.unpack("<I", blob[6:10])
+        header = json.loads(blob[10:10 + hlen].decode())
+        (entry,) = [e for e in header["tensors"] if e["name"] == "param/head.w"]
+        start = 10 + hlen + entry["offset"]
+        blob[start:start + entry["length"]] = np.full(entry["length"] // 4, np.nan,
+                                                      dtype="<f4").tobytes()
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(bytes(blob))
+        report = tmp_path / "r.json"
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(report)) == 2
+        assert "param/head.w holds NaN or infinite" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("subset, frac, message", [
         ("test", "1.0", "--train-frac 1.0 outside (0,1)"),

@@ -1,5 +1,5 @@
 """Every name a package module imports is used in that module, and every
-name its `__all__` exports exists there.
+name its `__all__` exports exists there; the CLI's import graph stays lean.
 
 No linter ships with the project, so these scans stand in for one: an import
 the module never reads is dead code that outlives whatever once used it, and
@@ -7,6 +7,9 @@ an export the module no longer binds breaks `from module import *`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,16 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_defines_every_export(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """`scipy.stats` costs ~1 s and ~44 MB at import, and every command and
+    `compare` worker would pay it; the package ranks AUC scores in numpy."""
+    src = os.path.dirname(os.path.dirname(crossfit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, crossfit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["[]"]

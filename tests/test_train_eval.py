@@ -19,7 +19,7 @@ from crossfit.train_eval import (
     build_model_from_checkpoint, evaluate, load_checkpoint,
     metrics_from_predictions, model_config_from_dict, model_config_to_dict,
     quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
-    train,
+    train, _average_ranks,
 )
 
 
@@ -187,6 +187,24 @@ def test_auc_hand_example():
 def test_auc_single_class_undefined():
     assert roc_auc_ovr(np.array([0.1, 0.9]), np.array([1, 1], bool)) is None
     assert roc_auc_ovr(np.array([0.1, 0.9]), np.array([0, 0], bool)) is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_average_ranks_equal_rankdata_bitwise(dtype):
+    from scipy.stats import rankdata   # the oracle; the package must not import it
+    rng = make_rng(7)
+    for i in range(300):
+        n = int(rng.integers(1, 80))
+        scores = (rng.uniform(size=n) if i % 3 == 0
+                  else rng.integers(0, int(rng.integers(1, 12)), n) / 7.0).astype(dtype)
+        assert _average_ranks(scores).tobytes() == rankdata(scores).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    scores = np.array([0.9, bad, 0.2, 0.1])
+    with pytest.raises(ContractError, match="finite"):
+        roc_auc_ovr(scores, np.array([1, 1, 0, 0], bool))
 
 
 def test_auc_random_vs_pair_counting():
@@ -424,6 +442,28 @@ def test_checkpoint_corrupt_header_typed(tmp_path):
         build_model_from_checkpoint(load_checkpoint(path))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("", "mask_enabled", "no"), ("", "mask_enabled", 0), ("", "strategy", 3),
+    ("cfa", "zero_init_out", 1), ("cfa", "threshold", "0.06"), ("cfa", "heads", 2.0),
+    ("encoder", "stride", [2.0, 2]), ("encoder", "input_size", True),
+])
+def test_checkpoint_config_value_of_wrong_json_type_rejected(section, key, value):
+    stored = model_config_to_dict(micro_model(27).cfg)
+    (stored[section] if section else stored)[key] = value
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(CheckpointError, match=f"no valid model config: {name} must be"):
+        model_config_from_dict(stored)
+
+
+def test_checkpoint_config_takes_an_integer_where_a_number_or_stages_go():
+    cfg = micro_model(28).cfg
+    stored = model_config_to_dict(cfg)
+    stored["cfa"]["threshold"] = 0
+    stored["encoder"]["stride"] = 2
+    got = model_config_from_dict(stored)
+    assert got.cfa.threshold == 0 and got.encoder.strides == cfg.encoder.strides
+
+
 def test_checkpoint_config_ignores_unread_keys():
     cfg = micro_model(24).cfg
     stored = dict(model_config_to_dict(cfg), grid_size=None)   # an older header's field
@@ -515,6 +555,10 @@ _ODD_INDEX_ENTRY = st.builds(
 @example(_checkpoint_blob(   # zero elements, but extents too large for numpy
     {"config": {}, "payload_bytes": 0, "train_state": {"step": 0},
      "tensors": [{"name": "a", "shape": [0, 2**62], "offset": 0, "length": 0}]}, b""))
+@example(_checkpoint_blob(   # a NaN and an infinity where weights go
+    {"config": {}, "payload_bytes": 8, "train_state": {"step": 0},
+     "tensors": [{"name": "param/a", "shape": [2], "offset": 0, "length": 8}]},
+    struct.pack("<2f", math.nan, math.inf)))
 def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("ckfuzz") / "f.ckpt"
     path.write_bytes(blob)
@@ -524,3 +568,4 @@ def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory, blob):
         return
     for name, arr in ckpt.tensors.items():
         assert isinstance(name, str) and arr.dtype == np.float32
+        assert np.isfinite(arr).all()
