@@ -8,6 +8,13 @@ the active tape; backward replays the tape once in reverse, accumulating
 gradients into every requires_grad leaf. No graph optimization, no
 higher-order derivatives.
 
+The module needs numpy alone. `gelu`'s erf is Cody's rational Chebyshev
+fits (Math. Comp. 23, 1969), evaluated in the input's dtype: cephes'
+`ndtr.c` pair in float64, within 1 ulp of scipy's erf and 3 ulp of
+`math.erf`; in float32, the single clamped rational of Eigen's and XLA's
+float32 erf, within 5e-7 absolute. Float32 GELU therefore differs from a
+scipy-based one by a few ulp.
+
 Importing this module tells glibc's allocator to keep freed memory in the
 process (`mallopt`, once; a no-op where libc has no `mallopt`). A training
 step frees its forward activations during backward; by default glibc hands
@@ -24,7 +31,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "ContractError", "DegenerateRowError",
@@ -358,10 +364,77 @@ def relu(x: Tensor) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# erf as Cody's rational Chebyshev fits (Math. Comp. 23, 1969). Float64 uses
+# cephes `ndtr.c`'s pair: x·T(x²)/U(x²) for |x| <= 1, 1 − exp(−x²)·P(|x|)/Q(|x|)
+# above. Float32 uses one odd/even rational on [−4, 4], the fit in Eigen's and
+# XLA's float32 erf. Coefficients run from the highest power down.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF32_ALPHA = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                -1.60960333262415e-02)
+_ERF32_BETA = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+               -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _horner(z: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Polynomial with `coefs` (highest power first) at z, in z's dtype."""
+    acc = z * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Error function in x's dtype, with no RuntimeWarning for ±inf or NaN.
+
+    Every branch runs on clamped inputs. Float64 clamps |x| at 6, where
+    erfc < 2.2e-17 so erf rounds to ±1; it is within 1 ulp of cephes' erf
+    and 3 ulp of `math.erf`. Float32 clamps at 4, beyond which erf rounds
+    to ±1 in float32; its absolute error is below 5e-7 (4.2e-7 measured on
+    a dense grid over [-10, 10]).
+    """
+    if x.dtype == np.float32:
+        c = np.clip(x, -4.0, 4.0)
+        z = c * c
+        out = _horner(z, _ERF32_ALPHA)
+        out *= c
+        out /= _horner(z, _ERF32_BETA)
+        return out
+    c = np.clip(x, -1.0, 1.0)
+    z = c * c
+    small = c * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+    ax = np.abs(x)
+    a = np.clip(ax, 1.0, 6.0)
+    large = 1.0 - np.exp(-a * a) * _horner(a, _ERFC_P) / _horner(a, _ERFC_Q)
+    return np.where(ax <= 1.0, small, np.copysign(large, x))
+
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation."""
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
+
+    Phi(x) = (1 + erf(x / sqrt 2)) / 2, with `_erf`'s rational fits: within
+    1 ulp of cephes' erf in float64; in float32 within 5e-7 absolute (4.2e-7
+    measured), so Phi is within 2.5e-7 and the output within ~2.5e-7·|x|.
+    """
+    phi = _erf(x.data * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
     out = x.data * phi
 
     def bw(g):

@@ -28,11 +28,11 @@ from .encoder import EncoderConfig
 from .geometry import (aligned_position_embeddings, field1_grid, regular_coords,
                        regular_position_embedding, sinusoidal_pe)
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
-from .train_eval import (CheckpointError, TrainConfig, TrainingDiverged,
-                         build_model_from_checkpoint, evaluate, json_type_error,
-                         load_checkpoint, metrics_from_predictions, predict_dataset,
-                         quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint,
-                         train)
+from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
+                         TrainingDiverged, build_model_from_checkpoint, evaluate,
+                         json_type_error, load_checkpoint, metrics_from_predictions,
+                         predict_dataset, quadratic_weighted_kappa, roc_auc_ovr,
+                         save_checkpoint, train)
 
 
 class UsageError(ValueError):
@@ -721,7 +721,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, sd.DataError, CheckpointError) as err:
+    except (UsageError, sd.DataError, CheckpointError, NonFiniteOutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TrainingDiverged as err:

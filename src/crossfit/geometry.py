@@ -14,6 +14,7 @@ per eye, which is what `field1_grid` computes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,16 @@ def sinusoidal_pe(positions: np.ndarray, d_t: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def regular_position_embedding(side: int, d_t: int) -> np.ndarray:
-    """(side², d_t) embedding of the plain corner-aligned grid."""
-    return sinusoidal_pe(_positions(regular_coords(side), side), d_t)
+    """(side², d_t) embedding of the plain corner-aligned grid.
+
+    A constant of (side, d_t): built once, then every caller shares the one
+    read-only array.
+    """
+    pe = sinusoidal_pe(_positions(regular_coords(side), side), d_t)
+    pe.setflags(write=False)
+    return pe
 
 
 def aligned_position_embeddings(od1: np.ndarray, od2: np.ndarray, side: int,

@@ -18,8 +18,8 @@ from .encoder import EncoderConfig
 from .model import CrossFiTConfig, CrossFiTModel
 
 __all__ = [
-    "TrainConfig", "TrainingDiverged", "CheckpointError", "MetricsReport",
-    "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
+    "TrainConfig", "TrainingDiverged", "CheckpointError", "NonFiniteOutputError",
+    "MetricsReport", "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
     "predict_dataset", "evaluate", "train", "Checkpoint", "save_checkpoint",
     "load_checkpoint", "json_type_error", "model_config_to_dict",
     "model_config_from_dict", "build_model_from_checkpoint",
@@ -35,6 +35,10 @@ class TrainingDiverged(FloatingPointError):
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or incompatible checkpoint data."""
+
+
+class NonFiniteOutputError(FloatingPointError):
+    """A model's outputs held NaN or inf: finite weights overflowed at inference."""
 
 
 @dataclass(frozen=True)
@@ -156,14 +160,31 @@ class MetricsReport:
 
 
 def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
-    """Deterministic full pass; returns (predicted grades, probabilities)."""
+    """Deterministic full pass; returns (predicted grades, probabilities).
+
+    Raises NonFiniteOutputError when a probability is NaN or inf, or when
+    overflow left an attention row with every logit -inf. That error names
+    the outcome, so numpy's overflow warnings on the way are not printed.
+    """
     n = len(dataset.grades)
     grades = np.zeros(n, dtype=np.int64)
     probs = np.zeros((n, model.cfg.num_classes))
-    for start in range(0, n, batch_size):
-        sl = slice(start, start + batch_size)
-        grades[sl], probs[sl] = model.predict_batch(
-            dataset.images1[sl], dataset.images2[sl], dataset.od1[sl], dataset.od2[sl])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, batch_size):
+            sl = slice(start, start + batch_size)
+            try:
+                grades[sl], probs[sl] = model.predict_batch(
+                    dataset.images1[sl], dataset.images2[sl], dataset.od1[sl],
+                    dataset.od2[sl])
+            except DegenerateRowError as exc:
+                raise NonFiniteOutputError(
+                    "model outputs are non-finite: every attention logit of a "
+                    "row overflowed to -inf") from exc
+    bad = int((~np.isfinite(probs).all(axis=1)).sum())
+    if bad:
+        raise NonFiniteOutputError(
+            f"model outputs are non-finite (NaN or inf) for {bad} of {n} eyes: "
+            f"the forward pass overflowed")
     return grades, probs
 
 

@@ -98,6 +98,62 @@ def test_gelu_is_exact_not_tanh():
     assert abs(out - tanh_form) > 1e-6
 
 
+# a dense grid over [-10, 10] that also holds 0 and both clamp points exactly
+ERF_GRID = np.union1d(np.linspace(-10.0, 10.0, 400_001), [-6.0, -4.0, 0.0, 4.0, 6.0])
+
+
+def test_erf_float64_within_2_ulp_of_scipy():
+    from scipy.special import erf   # the oracle; the package must not import it
+    with np.errstate(all="raise"):
+        got = ad._erf(ERF_GRID)
+    ref = erf(ERF_GRID)
+    ulp = np.spacing(np.maximum(np.abs(ref), np.finfo(np.float64).tiny))
+    assert got.dtype == np.float64
+    assert (np.abs(got - ref) <= 2 * ulp).all()
+
+
+def test_erf_float32_within_5e7_of_float64():
+    x32 = ERF_GRID.astype(np.float32)
+    with np.errstate(all="raise"):
+        got = ad._erf(x32)
+        ref = ad._erf(x32.astype(np.float64))
+    assert got.dtype == np.float32
+    assert np.abs(got.astype(np.float64) - ref).max() <= 5e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_is_odd_and_zero_at_zero(dtype):
+    x = ERF_GRID.astype(dtype)
+    with np.errstate(all="raise"):
+        assert ad._erf(np.zeros(3, dtype)).tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(ad._erf(-x), -ad._erf(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_infinities_and_nan(dtype):
+    with np.errstate(all="raise"):
+        got = ad._erf(np.array([np.inf, -np.inf, np.nan], dtype))
+    assert got.dtype == dtype
+    assert got[0] == 1.0 and got[1] == -1.0 and np.isnan(got[2])
+
+
+def test_gelu_float32_tracks_float64():
+    """Float32 GELU's error is x times Phi's, and Phi's is half of erf's.
+
+    That is within 1e-6 relative where Phi >= 1/2 (x >= 0). Below 0, 1 + erf
+    cancels, so the bound there is 1e-6 of |x|.
+    """
+    x32 = ERF_GRID.astype(np.float32)
+    with np.errstate(all="raise"):
+        got = ad.gelu(Tensor(x32, dtype=np.float32)).data
+        ref = ad.gelu(Tensor(x32, dtype=np.float64)).data
+    assert got.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - ref)
+    pos = x32 >= 0
+    assert (err[pos] <= 1e-6 * np.abs(ref[pos])).all()
+    assert (err <= 1e-6 * np.abs(x32)).all()
+
+
 def test_cross_entropy_uniform_oracle():
     logits = tensor(np.zeros((1, 5)))
     loss = ad.cross_entropy_logits(logits, [2])

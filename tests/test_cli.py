@@ -304,20 +304,37 @@ class TestEval:
                        "--report", str(tmp_path / "r.json")) == 2
         assert "no valid model config" in capsys.readouterr().err
 
-    def test_non_finite_weights_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
-        blob = bytearray(open(trained_ckpt, "rb").read())
+    @staticmethod
+    def _fill_head(ckpt: str, value: float, out) -> None:
+        """Copy `ckpt` to `out` with every entry of `param/head.w` set to `value`."""
+        blob = bytearray(open(ckpt, "rb").read())
         (hlen,) = struct.unpack("<I", blob[6:10])
         header = json.loads(blob[10:10 + hlen].decode())
         (entry,) = [e for e in header["tensors"] if e["name"] == "param/head.w"]
         start = 10 + hlen + entry["offset"]
-        blob[start:start + entry["length"]] = np.full(entry["length"] // 4, np.nan,
+        blob[start:start + entry["length"]] = np.full(entry["length"] // 4, value,
                                                       dtype="<f4").tobytes()
+        out.write_bytes(bytes(blob))
+
+    def test_non_finite_weights_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
         bad = tmp_path / "nan.bin"
-        bad.write_bytes(bytes(blob))
+        self._fill_head(trained_ckpt, np.nan, bad)
         report = tmp_path / "r.json"
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(report)) == 2
         assert "param/head.w holds NaN or infinite" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_weights_overflowing_float32_exit_2(self, trained_ckpt, data_dir, tmp_path,
+                                               capsys):
+        """Finite weights pass `load_checkpoint`, but 3e38 overflows the logits."""
+        bad = tmp_path / "huge.bin"
+        self._fill_head(trained_ckpt, 3e38, bad)
+        report = tmp_path / "r.json"
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model outputs are non-finite") and err.count("\n") == 1
         assert not report.exists()
 
     @pytest.mark.parametrize("subset, frac, message", [

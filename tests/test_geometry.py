@@ -301,3 +301,14 @@ def test_regular_fallback_identical_fields():
     pe1, pe2 = aligned_position_embeddings(od, od, 4, 16)
     np.testing.assert_array_equal(pe2, pe)
     np.testing.assert_array_equal(pe1[0], pe)
+
+
+def test_regular_embedding_is_one_shared_read_only_constant():
+    pe = regular_position_embedding(4, 16)
+    assert regular_position_embedding(4, 16) is pe
+    assert aligned_position_embeddings(np.zeros((1, 2)), np.zeros((1, 2)), 4, 16)[1] is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+    fresh = sinusoidal_pe(_positions(regular_coords(4), 4), 16)
+    assert pe.tobytes() == fresh.tobytes()

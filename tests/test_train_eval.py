@@ -10,15 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crossfit.autodiff as ad
-from crossfit.autodiff import ContractError, Tensor, make_rng, parameter
+from crossfit.autodiff import ContractError, DegenerateRowError, Tensor, make_rng, parameter
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
-    build_model_from_checkpoint, evaluate, load_checkpoint,
+    NonFiniteOutputError, build_model_from_checkpoint, evaluate, load_checkpoint,
     metrics_from_predictions, model_config_from_dict, model_config_to_dict,
-    quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
+    predict_dataset, quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
     train, _average_ranks,
 )
 
@@ -333,6 +333,24 @@ def test_evaluate_populates_report():
     np.testing.assert_array_equal(rep.confusion.sum(axis=1), counts)
     recomputed = np.trace(rep.confusion) / rep.confusion.sum()
     assert rep.accuracy == recomputed
+
+
+def test_predict_dataset_rejects_overflowing_outputs():
+    model = micro_model(12)
+    model.head.w.data[...] = 1e308          # finite, but the logits overflow
+    with pytest.raises(NonFiniteOutputError, match="for 6 of 6 eyes"):
+        predict_dataset(model, tiny_dataset(13, n=6), batch_size=4)
+
+
+def test_predict_dataset_types_degenerate_attention():
+    model = micro_model(12)
+    mha = model.stack.layers[0].mha
+    for lin, bias in ((mha.wq, 1e300), (mha.wk, -1e300)):   # every q·k is -1e600
+        lin.w.data[...] = 0.0
+        lin.b.data[...] = bias
+    with pytest.raises(NonFiniteOutputError, match="overflowed to -inf") as info:
+        predict_dataset(model, tiny_dataset(13), batch_size=4)
+    assert isinstance(info.value.__cause__, DegenerateRowError)
 
 
 # ---------------------------------------------------------------------------
