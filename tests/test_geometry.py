@@ -277,6 +277,23 @@ def test_pe_row_cell_correspondence():
         assert changed.tolist() == [ci * w + cj]
 
 
+def test_pe_halves_encode_x_and_y_alone():
+    # the first d_t/2 channels read x alone, the last d_t/2 y alone, bit for bit
+    h, w, d_t = 3, 4, 8
+    half = d_t // 2
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-4.0, 4.0, size=(h, w))
+    ys = np.repeat(rng.uniform(-4.0, 4.0, size=(h, 1)), w, axis=1)   # one y per row
+    pe = sinusoidal_pe(np.stack([xs, ys], axis=-1), d_t)
+    new_y = sinusoidal_pe(np.stack([xs, rng.uniform(-4.0, 4.0, size=(h, w))], axis=-1), d_t)
+    new_x = sinusoidal_pe(np.stack([rng.uniform(-4.0, 4.0, size=(h, w)), ys], axis=-1), d_t)
+    assert pe[:, :half].tobytes() == new_y[:, :half].tobytes()
+    assert pe[:, half:].tobytes() == new_x[:, half:].tobytes()
+    # so the cells of one row share the y half exactly
+    rows = pe[:, half:].reshape(h, w, half)
+    assert (rows == rows[:, :1]).all()
+
+
 # ---------------------------------------------------------------------------
 # field embedding assembly
 
