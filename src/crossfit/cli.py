@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, eval, compare, inspect, sweep, verify.
+Subcommands: gen-data, train, eval, compare, inspect, sweep.
 Every command is deterministic given its flags and seeds.  Exit codes:
-0 success, 1 verification or training failure, 2 usage / I-O error.
+0 success, 1 training diverged, 2 usage / I-O error (bad flags, config,
+data or checkpoint, or a model whose outputs overflow).
 
 Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
 command-line flags override file values, file values override defaults.
@@ -22,17 +23,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import synthdata as sd
-from .attention import CfaConfig, MultiHeadAttention, export_attention_record
-from .autodiff import ContractError, Tensor
+from .attention import CfaConfig, export_attention_record
+from .autodiff import ContractError
 from .encoder import EncoderConfig
-from .geometry import (aligned_position_embeddings, field1_grid, regular_coords,
-                       regular_position_embedding, sinusoidal_pe)
+from .geometry import field1_grid, regular_coords
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
                          TrainingDiverged, build_model_from_checkpoint, evaluate,
-                         json_type_error, load_checkpoint, metrics_from_predictions,
-                         predict_dataset, quadratic_weighted_kappa, roc_auc_ovr,
-                         save_checkpoint, train)
+                         finite_outputs, json_type_error, load_checkpoint,
+                         metrics_from_predictions, predict_dataset, save_checkpoint,
+                         train)
 
 
 class UsageError(ValueError):
@@ -423,9 +423,13 @@ def cmd_inspect(args) -> int:
             raise UsageError(f"eye {args.eye} not in manifest at {args.data}")
         i = int(hits[0])
 
-        logits, extras = model.forward_batch(
-            data.images1[i:i + 1], data.images2[i:i + 1],
-            data.od1[i:i + 1], data.od2[i:i + 1], record=True)
+        def forward():
+            out, extras = model.forward_batch(
+                data.images1[i:i + 1], data.images2[i:i + 1],
+                data.od1[i:i + 1], data.od2[i:i + 1], record=True)
+            return out.data, extras
+
+        logits, extras = finite_outputs(forward)
     os.makedirs(args.out, exist_ok=True)
     attn_paths = export_attention_record(extras["attention"], args.out)
 
@@ -462,190 +466,11 @@ def cmd_inspect(args) -> int:
     heat_path = os.path.join(args.out, "heatmap_f1_to_f2.ppm")
     sd.write_ppm(heat_path, np.round(rgb * 255.0).astype(np.uint8))
 
-    pred = int(np.argmax(logits.data[0]))
+    pred = int(np.argmax(logits[0]))
     _emit({"eye": args.eye, "grade": int(data.grades[i]), "predicted": pred,
            "attention_files": attn_paths, "mask_files": mask_paths,
            "grid_file": grid_path, "heatmap": heat_path})
     return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _fault(group: str) -> bool:
-    return os.environ.get("CROSSFIT_VERIFY_FAULT", "") == group
-
-
-def _verify_gradchecks() -> tuple[bool, str]:
-    rng = ad.make_rng(0)
-    worst = 0.0
-
-    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    gamma = Tensor(rng.standard_normal(4), requires_grad=True)
-    beta = Tensor(rng.standard_normal(4), requires_grad=True)
-    labels = np.array([0, 3, 1])
-
-    def composite():
-        h = ad.gelu(ad.matmul(x, w))
-        h = ad.layer_norm(h, gamma, beta)
-        return ad.cross_entropy_logits(h, labels)
-
-    worst = max(worst, ad.gradcheck(composite, [x, w, gamma, beta]))
-
-    img = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
-    kern = Tensor(0.3 * rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
-
-    def conv():
-        return ad.sum_(ad.relu(ad.conv2d(img, kern, stride=2, pad=1)))
-
-    worst = max(worst, ad.gradcheck(conv, [img, kern]))
-
-    cfg = CrossFiTConfig(
-        encoder=EncoderConfig(stage_channels=(6,), stride=4, kernel=3, input_size=8),
-        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2),
-        num_classes=3)
-    model = CrossFiTModel(ad.make_rng(1), cfg)
-    imgs1 = rng.random((2, 8, 8, 3))
-    imgs2 = rng.random((2, 8, 8, 3))
-    od1 = np.array([[0.3, 0.4], [0.5, 0.5]])
-    od2 = np.array([[0.5, 0.5], [0.4, 0.6]])
-    lab = np.array([0, 2])
-    params = [p for _, p in model.parameters()]
-
-    def loss():
-        return model.loss_batch(imgs1, imgs2, od1, od2, lab)
-
-    worst = max(worst, ad.gradcheck(loss, params, max_elems=6, rng=ad.make_rng(2)))
-    if _fault("gradchecks"):
-        worst += 1.0
-    ok = worst < 1e-3
-    return ok, f"max relative error {worst:.3g}"
-
-
-def _verify_mask_exactness() -> tuple[bool, str]:
-    rng = ad.make_rng(3)
-    worst_col = 0.0
-    worst_row = 0.0
-    for trial in range(25):
-        heads = int(rng.choice([1, 2, 4]))
-        d = 4 * heads * int(rng.integers(1, 4))
-        t = int(rng.integers(2, 10))
-        mha = MultiHeadAttention(rng, CfaConfig(layers=1, heads=heads, d_t=d))
-        x = Tensor(rng.standard_normal((1, t, d)))
-        mask = (rng.random(t) < 0.7).astype(float)
-        if mask.sum() == 0:
-            mask[int(rng.integers(t))] = 1.0
-        records = []
-        with ad.no_grad():
-            mha(x, mask[None, :], records)
-        weights = np.asarray(records[0])[0]       # (heads, t, t)
-        if _fault("mask_exactness") and trial == 0:
-            weights = weights + 1e-6
-        if (mask == 0.0).any():
-            worst_col = max(worst_col, float(np.abs(weights[..., mask == 0.0]).max()))
-        worst_row = max(worst_row, float(np.abs(weights.sum(axis=-1) - 1.0).max()))
-        with ad.no_grad():
-            ones_out = mha(x, np.ones((1, t)))
-            plain_out = mha(x, None)
-        if not np.array_equal(ones_out.data, plain_out.data):
-            return False, "all-ones mask is not bitwise identical to unmasked"
-    ok = worst_col == 0.0 and worst_row < 1e-12
-    return ok, f"masked-column max {worst_col:.3g}, row-sum error {worst_row:.3g}"
-
-
-def _verify_geometry() -> tuple[bool, str]:
-    rng = ad.make_rng(4)
-    reg = regular_position_embedding(4, 16)
-    for _ in range(20):
-        od1, od2 = rng.random((1, 2)), rng.random((1, 2))
-        offset, coords = field1_grid(od1, od2, 4)
-        want = np.array([2.0 * (od2[0, 0] - od1[0, 0]), 2.0 * (od2[0, 1] - od1[0, 1])])
-        if _fault("geometry"):
-            want = want + 0.5
-        if not np.array_equal(offset[0], want):
-            return False, f"offset mismatch: got {offset[0]}, want {want}"
-        if not np.array_equal(coords[0], regular_coords(4) + want[None, None, :]):
-            return False, "aligned coordinates are not regular plus the offset"
-        same = aligned_position_embeddings(od1, od1, 4, 16)
-        if not (np.array_equal(same[0][0], reg) and np.array_equal(same[1], reg)):
-            return False, "identical landmarks do not reduce to the regular embedding"
-    pos = np.array([[[0.25, 0.75], [0.9, 0.75]]])        # one row, two cells
-    pe = sinusoidal_pe(pos, 8)
-    solo_x = sinusoidal_pe(np.array([[[0.25, 0.1]]]), 8)
-    if not np.array_equal(pe[0, :4], solo_x[0, :4]):
-        return False, "first half of the embedding does not track x alone"
-    if not np.array_equal(pe[0, 4:], pe[1, 4:]):
-        return False, "shared row does not share the y half of the embedding"
-    return True, "offsets exact, reductions bitwise"
-
-
-def _verify_metric_oracles() -> tuple[bool, str]:
-    rng = ad.make_rng(5)
-    worst = 0.0
-    for _ in range(30):
-        c = int(rng.integers(2, 6))
-        n = int(rng.integers(10, 60))
-        labels = rng.integers(0, c, size=n)
-        preds = rng.integers(0, c, size=n)
-        scores = rng.random((n, c))
-        conf = np.zeros((c, c), dtype=np.int64)
-        for a, b in zip(labels, preds):
-            conf[a, b] += 1
-        got = quadratic_weighted_kappa(conf)
-
-        w = np.array([[(i - j) ** 2 for j in range(c)] for i in range(c)], float)
-        w /= (c - 1) ** 2
-        obs = conf / conf.sum()
-        exp = np.outer(conf.sum(1), conf.sum(0)) / conf.sum() ** 2
-        denom = (w * exp).sum()
-        oracle = 1.0 - (w * obs).sum() / denom if denom > 0 else 0.0
-        if _fault("metric_oracles"):
-            oracle += 0.01
-        worst = max(worst, abs(got - oracle))
-
-        for cls in range(c):
-            pos = labels == cls
-            if pos.all() or not pos.any():
-                continue
-            got_auc = roc_auc_ovr(scores[:, cls], pos)
-            s_pos = scores[pos, cls]
-            s_neg = scores[~pos, cls]
-            wins = sum((s_pos > v).sum() + 0.5 * (s_pos == v).sum() for v in s_neg)
-            worst = max(worst, abs(got_auc - wins / (len(s_pos) * len(s_neg))))
-
-    diag = np.diag(np.arange(1, 6))
-    if quadratic_weighted_kappa(diag) != 1.0:
-        return False, "diagonal confusion does not give kappa 1"
-    ties = roc_auc_ovr(np.ones(10), np.arange(10) < 4)
-    if ties != 0.5:
-        return False, "all-tie scores do not give AUC 0.5"
-    ok = worst < 1e-12
-    return ok, f"max deviation from brute force {worst:.3g}"
-
-
-_VERIFY_GROUPS = [
-    ("gradchecks", _verify_gradchecks),
-    ("mask_exactness", _verify_mask_exactness),
-    ("geometry", _verify_geometry),
-    ("metric_oracles", _verify_metric_oracles),
-]
-
-
-def cmd_verify(_args) -> int:
-    failures = 0
-    results = []
-    t0 = time.time()
-    with ad.default_dtype_scope(np.float64):  # the groups' bounds assume float64
-        for name, fn in _VERIFY_GROUPS:
-            ok, detail = fn()
-            failures += not ok
-            results.append({"group": name, "ok": bool(ok), "detail": detail})
-            print(f"{name:<16} {'PASS' if ok else 'FAIL'}  ({detail})")
-    _emit({"groups": results, "elapsed_s": time.time() - t0,
-           "ok": failures == 0})
-    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--eye", type=int, required=True)
     i.add_argument("--out", required=True)
     i.set_defaults(fn=cmd_inspect)
-
-    v = sub.add_parser("verify", help="run the built-in property suites")
-    v.set_defaults(fn=cmd_verify)
     return ap
 
 

@@ -20,8 +20,8 @@ from .model import CrossFiTConfig, CrossFiTModel
 __all__ = [
     "TrainConfig", "TrainingDiverged", "CheckpointError", "NonFiniteOutputError",
     "MetricsReport", "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
-    "predict_dataset", "evaluate", "train", "Checkpoint", "save_checkpoint",
-    "load_checkpoint", "json_type_error", "model_config_to_dict",
+    "finite_outputs", "predict_dataset", "evaluate", "train", "Checkpoint",
+    "save_checkpoint", "load_checkpoint", "json_type_error", "model_config_to_dict",
     "model_config_from_dict", "build_model_from_checkpoint",
 ]
 
@@ -159,32 +159,47 @@ class MetricsReport:
         }
 
 
+def finite_outputs(forward):
+    """Run `forward()`, a model pass returning (outputs, extra) where
+    `outputs` is an (eyes, classes) array, and return that pair.
+
+    Raises NonFiniteOutputError when an output row holds NaN or inf, or when
+    overflow left an attention row with every logit -inf. That error names
+    the outcome, so numpy's overflow warnings on the way are not printed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            outputs, extra = forward()
+        except DegenerateRowError as exc:
+            raise NonFiniteOutputError(
+                "model outputs are non-finite: every attention logit of a "
+                "row overflowed to -inf") from exc
+    bad = int((~np.isfinite(outputs).all(axis=1)).sum())
+    if bad:
+        raise NonFiniteOutputError(
+            f"model outputs are non-finite (NaN or inf) for {bad} of "
+            f"{len(outputs)} eyes: the forward pass overflowed")
+    return outputs, extra
+
+
 def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
     """Deterministic full pass; returns (predicted grades, probabilities).
 
-    Raises NonFiniteOutputError when a probability is NaN or inf, or when
-    overflow left an attention row with every logit -inf. That error names
-    the outcome, so numpy's overflow warnings on the way are not printed.
+    Raises NonFiniteOutputError as `finite_outputs` does.
     """
     n = len(dataset.grades)
     grades = np.zeros(n, dtype=np.int64)
     probs = np.zeros((n, model.cfg.num_classes))
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def forward():
         for start in range(0, n, batch_size):
             sl = slice(start, start + batch_size)
-            try:
-                grades[sl], probs[sl] = model.predict_batch(
-                    dataset.images1[sl], dataset.images2[sl], dataset.od1[sl],
-                    dataset.od2[sl])
-            except DegenerateRowError as exc:
-                raise NonFiniteOutputError(
-                    "model outputs are non-finite: every attention logit of a "
-                    "row overflowed to -inf") from exc
-    bad = int((~np.isfinite(probs).all(axis=1)).sum())
-    if bad:
-        raise NonFiniteOutputError(
-            f"model outputs are non-finite (NaN or inf) for {bad} of {n} eyes: "
-            f"the forward pass overflowed")
+            grades[sl], probs[sl] = model.predict_batch(
+                dataset.images1[sl], dataset.images2[sl], dataset.od1[sl],
+                dataset.od2[sl])
+        return probs, grades
+
+    probs, grades = finite_outputs(forward)
     return grades, probs
 
 

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module, and every
-name its `__all__` exports exists there; the CLI's import graph stays lean.
+"""Every name a package module imports is used in that module, every name
+its `__all__` exports exists there, and every private top-level name is read
+somewhere in the package; the CLI's import graph stays lean.
 
 No linter ships with the project, so these scans stand in for one: an import
-the module never reads is dead code that outlives whatever once used it, and
-an export the module no longer binds breaks `from module import *`.
+the module never reads, or a `_helper` nothing calls, is dead code that
+outlives whatever once used it, and an export the module no longer binds
+breaks `from module import *`.
 """
 
 import ast
@@ -59,6 +61,46 @@ def undefined_exports(source: str) -> list[str]:
     return sorted(set(_exports(tree)) - bound)
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each top-level `_name` a module defines; dunders
+    such as `__all__` are read by Python itself, so they are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a statement reads: bare loads, attributes, and `from` imports."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(a.name for a in n.names)
+    return refs
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`module._name` for each private top-level name that no statement of
+    any module in `sources` reads, outside the statement defining it."""
+    trees = {mod: ast.parse(src) for mod, src in sorted(sources.items())}
+    statements = [(node, _references(node)) for tree in trees.values()
+                  for node in tree.body]
+    return [f"{mod}.{name}" for mod, tree in trees.items()
+            for name, definition in _private_definitions(tree)
+            if not any(name in refs for node, refs in statements if node is not definition)]
+
+
 def test_scan_flags_an_unused_import():
     src = "import os\nfrom json import dumps, loads as ld\n__all__ = ['dumps']\n"
     assert unused_imports(src) == ["ld (line 2)", "os (line 1)"]
@@ -69,6 +111,26 @@ def test_scan_flags_an_undefined_export():
            "def f(): pass\nclass K: pass\n"
            "__all__ = ['dump', 'A', 'C', 'D', 'f', 'K', 'Gone', 'dumps']\n")
     assert undefined_exports(src) == ["Gone", "dumps"]
+
+
+def test_scan_flags_a_dead_private_name():
+    sources = {
+        "a": ("import os\n"
+              "def _called(): pass\n"
+              "def _recursive(n): return _recursive(n - 1)\n"
+              "class _Read: pass\n"
+              "_A, _B = 1, 2\n"
+              "_C: int = 3\n"
+              "__all__ = []\n"
+              "def public(): return _called() + _A\n"),
+        "b": "from a import _Read\nimport a\nx = a._C\n",
+    }
+    assert dead_private_names(sources) == ["a._recursive", "a._B"]
+
+
+def test_package_has_no_dead_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_private_names(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
