@@ -115,8 +115,7 @@ def test_scan_flags_an_undefined_export():
 
 def test_scan_flags_a_dead_private_name():
     sources = {
-        "a": ("import os\n"
-              "def _called(): pass\n"
+        "a": ("def _called(): pass\n"
               "def _recursive(n): return _recursive(n - 1)\n"
               "class _Read: pass\n"
               "_A, _B = 1, 2\n"
