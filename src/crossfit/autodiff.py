@@ -8,6 +8,11 @@ the active tape; backward replays the tape once in reverse, accumulating
 gradients into every requires_grad leaf. No graph optimization, no
 higher-order derivatives.
 
+The tape holds gradient slots, not tensors: a node keeps its output's slot,
+its inputs' slots and the rule that maps one to the others, and each rule
+keeps only the arrays or shapes it reads. An activation is therefore freed
+as soon as the forward pass drops its tensor, unless a rule reads it.
+
 The module needs numpy alone. `gelu`'s erf is Cody's rational Chebyshev
 fits (Math. Comp. 23, 1969), evaluated in the input's dtype: cephes'
 `ndtr.c` pair in float64, within 1 ulp of scipy's erf and 3 ulp of
@@ -113,15 +118,44 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class Tensor:
-    """n-d array plus gradient accumulator, participating in the active tape."""
+class _Slot:
+    """A tensor's gradient accumulator; the tape holds these, not tensors."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+def _slot_of(t: "Tensor") -> _Slot:
+    """t's slot, made on first use: only tensors that carry a gradient get one."""
+    s = t._slot
+    if s is None:
+        s = t._slot = _Slot()
+    return s
+
+
+class Tensor:
+    """n-d array plus gradient slot, participating in the active tape.
+
+    `.grad` reads and writes the slot; a tensor gets one only once it
+    carries a gradient, so inference makes none."""
+
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if value is not None or self._slot is not None:
+            _slot_of(self).grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -186,14 +220,20 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 class _Node:
-    """One executed op: its output and the rule pushing grads to its inputs."""
+    """One executed op: its output's slot, its inputs' slots (None where an
+    input needs no gradient) and dtypes, and the rule pushing grads to them.
 
-    __slots__ = ("out", "inputs", "backward_fn")
+    It holds no tensor. The rule keeps only the arrays or shapes it reads, so
+    the node pins no activation that backward does not need.
+    """
 
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...],
+    __slots__ = ("out", "inputs", "dtypes", "backward_fn")
+
+    def __init__(self, out: _Slot, inputs: tuple[_Slot | None, ...], dtypes: tuple,
                  backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.out = out
         self.inputs = inputs
+        self.dtypes = dtypes
         self.backward_fn = backward_fn
 
 
@@ -241,7 +281,9 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Te
     track = _TAPE.recording and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track, dtype=out_data.dtype)
     if track:
-        _TAPE._nodes.append(_Node(out, inputs, backward_fn))
+        slots = tuple(_slot_of(t) if t.requires_grad else None for t in inputs)
+        dtypes = tuple(t.data.dtype for t in inputs)
+        _TAPE._nodes.append(_Node(_slot_of(out), slots, dtypes, backward_fn))
     return out
 
 
@@ -258,20 +300,20 @@ def backward(loss: Tensor) -> None:
         g = node.out.grad
         if g is None:
             continue
-        for t, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is None or not t.requires_grad:
+        for s, dt, gi in zip(node.inputs, node.dtypes, node.backward_fn(g)):
+            if gi is None or s is None:
                 continue
-            if t.grad is None:
+            if s.grad is None:
                 # add/sub at equal shapes, reshape, transpose and concat hand
                 # back g or a view of it; every other rule returns a fresh array
-                if gi.dtype != t.data.dtype:
-                    t.grad = gi.astype(t.data.dtype)
+                if gi.dtype != dt:
+                    s.grad = gi.astype(dt)
                 elif np.may_share_memory(gi, g):
-                    t.grad = gi.copy()
+                    s.grad = gi.copy()
                 else:
-                    t.grad = gi
+                    s.grad = gi
             else:
-                t.grad += gi
+                s.grad += gi
         node.out.grad = None  # free intermediate storage as we go
     _TAPE.clear()
 
@@ -296,9 +338,10 @@ def add(a: Tensor, b) -> Tensor:
     a = _coerce(a, _DEFAULT_DTYPE)
     b = _coerce(b, a.dtype)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record(out, (a, b), bw)
 
@@ -307,9 +350,10 @@ def sub(a: Tensor, b) -> Tensor:
     a = _coerce(a, _DEFAULT_DTYPE)
     b = _coerce(b, a.dtype)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record(out, (a, b), bw)
 
@@ -317,10 +361,11 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     a = _coerce(a, _DEFAULT_DTYPE)
     b = _coerce(b, a.dtype)
-    out = a.data * b.data
+    av, bv = a.data, b.data
+    out = av * bv
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return _record(out, (a, b), bw)
 
@@ -341,13 +386,14 @@ def neg(x: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the whole gradient routes to `a`."""
-    out = np.maximum(a.data, b.data)
+    av, bv = a.data, b.data
+    out = np.maximum(av, bv)
 
     def bw(g):
-        take_a = a.data >= b.data  # ties included: first operand wins
+        take_a = av >= bv  # ties included: first operand wins
         ga = np.where(take_a, g, 0.0)
         gb = np.where(take_a, 0.0, g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
     return _record(out, (a, b), bw)
 
@@ -356,7 +402,8 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def bw(g):
-        return (g * (x.data > 0.0),)
+        # out > 0 exactly where x > 0 (NaN fails both), so x itself can go
+        return (g * (out > 0.0),)
 
     return _record(out, (x,), bw)
 
@@ -432,14 +479,15 @@ def gelu(x: Tensor) -> Tensor:
     1 ulp of cephes' erf in float64; in float32 within 5e-7 absolute (4.2e-7
     measured), so Phi is within 2.5e-7 and the output within ~2.5e-7·|x|.
     """
-    phi = _erf(x.data * _INV_SQRT2)
+    xd = x.data
+    phi = _erf(xd * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
-    out = x.data * phi
+    out = xd * phi
 
     def bw(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (phi + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        return (g * (phi + xd * pdf),)
 
     return _record(out.astype(x.dtype, copy=False), (x,), bw)
 
@@ -452,24 +500,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, numpy semantics (leading dims broadcast)."""
     if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner extents disagree for {a.shape} x {b.shape}")
+    av, bv = a.data, b.data
     if a.ndim > 2 and b.ndim == 2:
         # fold a's leading axes into rows: one GEMM per direction, and the
         # weight gradient needs no batched product summed over the batch
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        a_shape = av.shape
+        # bw keeps a2 and the shape, not av: a2 is a copy when av is strided
+        a2 = av.reshape(-1, a_shape[-1])
+        out = (a2 @ bv).reshape(a_shape[:-1] + bv.shape[1:])
 
         def bw_rows(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+            return (g2 @ bv.T).reshape(a_shape), a2.T @ g2
 
         return _record(out, (a, b), bw_rows)
-    out = a.data @ b.data
+    out = av @ bv
 
     def bw(g):
-        bt = np.swapaxes(b.data, -1, -2) if b.ndim > 1 else b.data
-        at = np.swapaxes(a.data, -1, -2) if a.ndim > 1 else a.data
-        ga = _unbroadcast(g @ bt, a.shape)
-        gb = _unbroadcast(at @ g, b.shape)
+        bt = np.swapaxes(bv, -1, -2) if bv.ndim > 1 else bv
+        at = np.swapaxes(av, -1, -2) if av.ndim > 1 else av
+        ga = _unbroadcast(g @ bt, av.shape)
+        gb = _unbroadcast(at @ g, bv.shape)
         return ga, gb
 
     return _record(out, (a, b), bw)
@@ -502,9 +553,10 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def slice_(x: Tensor, idx) -> Tensor:
     out = x.data[idx]
+    shape, dtype = x.shape, x.dtype
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[idx] = g
         return (gx,)
 
@@ -524,12 +576,13 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
 
 def sum_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axes, keepdims=keepdims)
+    shape = x.shape
 
     def bw(g):
         if axes is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, x.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _record(np.asarray(out), (x,), bw)
 
@@ -581,10 +634,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    gd = gamma.data
+    out = xhat * gd + beta.data
 
     def bw(g):
-        gy = g * gamma.data
+        gy = g * gd
         gmean = gy.mean(axis=-1, keepdims=True)
         gxhat = (gy * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gy - gmean - xhat * gxhat)
@@ -673,17 +727,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
     cols = _im2col(xp, k, stride, ho, wo)                       # (n*ho*wo, ckk)
     wmat = w.data.reshape(c_out, c_in * k * k)
+    w_shape, xp_shape, x_grad = w.shape, xp.shape, x.requires_grad
     # rows are (n, ho, wo); copy to C-order NCHW, the layout the gradients
     # come back in (elementwise backward ops run ~5x slower on mixed layouts)
     out = np.ascontiguousarray((cols @ wmat.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
 
     def bw(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
-        gw = (gmat.T @ cols).reshape(w.shape)
-        if not x.requires_grad:  # an image batch: its gradient would be dropped
+        gw = (gmat.T @ cols).reshape(w_shape)
+        if not x_grad:  # an image batch: its gradient would be dropped
             return None, gw
         gcols = (gmat @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp_shape, cols.dtype)
         for ki in range(k):
             for kj in range(k):
                 gxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += gcols[:, :, ki, kj]

@@ -424,9 +424,10 @@ def cmd_inspect(args) -> int:
         i = int(hits[0])
 
         def forward():
-            out, extras = model.forward_batch(
-                data.images1[i:i + 1], data.images2[i:i + 1],
-                data.od1[i:i + 1], data.od2[i:i + 1], record=True)
+            with ad.no_grad():  # no backward follows; the attention record is a copy
+                out, extras = model.forward_batch(
+                    data.images1[i:i + 1], data.images2[i:i + 1],
+                    data.od1[i:i + 1], data.od2[i:i + 1], record=True)
             return out.data, extras
 
         logits, extras = finite_outputs(forward)

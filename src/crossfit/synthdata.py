@@ -577,15 +577,19 @@ class ArrayDataset:
         return len(self.grades)
 
     def subset(self, idx) -> "ArrayDataset":
-        idx = np.asarray(idx)
+        """Rows `idx` of every array: copies for an index array or a boolean
+        mask, views for a slice."""
+        if not isinstance(idx, slice):
+            idx = np.asarray(idx)
         return ArrayDataset(self.images1[idx], self.images2[idx],
                             self.od1[idx], self.od2[idx], self.grades[idx],
                             self.split_evidence[idx], self.eye_ids[idx])
 
     def train_test_split(self, train_frac: float = 0.8):
+        """The first round(n * train_frac) eyes, then the rest, as views of
+        this set's arrays: neither part copies the images."""
         k = int(round(len(self) * train_frac))
-        order = np.arange(len(self))
-        return self.subset(order[:k]), self.subset(order[k:])
+        return self.subset(slice(None, k)), self.subset(slice(k, None))
 
     @classmethod
     def from_samples(cls, samples) -> "ArrayDataset":

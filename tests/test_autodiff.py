@@ -5,16 +5,21 @@ import math
 import os
 import subprocess
 import sys
+import types
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import crossfit.autodiff as ad
+from crossfit.attention import CfaConfig
 from crossfit.autodiff import (
     ContractError, DegenerateRowError, LabelError, ShapeError, Tensor,
     backward, gradcheck, make_rng, no_grad, parameter, tensor,
 )
+from crossfit.encoder import EncoderConfig
+from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +413,145 @@ def test_constant_inputs_not_recorded():
     y = ad.mul(tensor([2.0]), tensor([3.0]))
     assert not y.requires_grad
     assert len(ad.active_tape()) == 0
+
+
+# ---------------------------------------------------------------------------
+# saved arrays: the tape pins only what a backward rule reads
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _affine_relu_step(keep: bool):
+    """sum(relu(0.5 * (x @ w + b)) * c) and its backward. The caller keeps
+    the matmul and scale outputs' tensors until backward when `keep`, and
+    drops them before it otherwise. Returns whether those two arrays were
+    alive just before backward, and the leaves' gradients."""
+    rng = make_rng(11)
+    x, w, b = (parameter(rng.normal(size=s)) for s in ((4, 3), (3, 5), (5,)))
+    c = tensor(rng.normal(size=(4, 5)))
+    held = []
+    h = ad.matmul(x, w)
+    refs = [weakref.ref(_owner(h.data))]
+    held.append(h)
+    h = ad.scale(ad.add(h, b), 0.5)
+    refs.append(weakref.ref(_owner(h.data)))
+    held.append(h)
+    loss = ad.sum_(ad.mul(ad.relu(h), c))
+    del h
+    if not keep:
+        held.clear()
+    alive = [r() is not None for r in refs]
+    backward(loss)
+    return alive, [x.grad, w.grad, b.grad]
+
+
+def test_tape_frees_activations_no_rule_reads():
+    """The matmul output under a bias add and a scale output die with their
+    tensors; backward gives the same gradients as when they are kept."""
+    alive_kept, kept = _affine_relu_step(keep=True)
+    alive, dropped = _affine_relu_step(keep=False)
+    assert alive_kept == [True, True]
+    assert alive == [False, False]
+    for g_kept, g in zip(kept, dropped):
+        np.testing.assert_array_equal(g, g_kept)
+
+
+def test_conv2d_frees_its_padded_input(monkeypatch):
+    """conv2d's backward needs the padded input's shape, not the array; the
+    gradients match a pad-0 conv of an explicitly padded copy."""
+    rng = make_rng(13)
+    xd = rng.normal(size=(2, 3, 6, 6))
+    w_init = rng.normal(size=(4, 3, 3, 3))
+    c = tensor(rng.normal(size=(2, 4, 3, 3)))
+    xp_ref = parameter(np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1))))
+    w_ref = parameter(w_init)
+    backward(ad.sum_(ad.mul(ad.conv2d(xp_ref, w_ref, stride=2), c)))
+
+    padded = []
+    real_pad = np.pad
+
+    def recording_pad(*args, **kwargs):
+        out = real_pad(*args, **kwargs)
+        padded.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(np, "pad", recording_pad)
+    x, w = parameter(xd), parameter(w_init)
+    loss = ad.sum_(ad.mul(ad.conv2d(x, w, stride=2, pad=1), c))
+    assert len(padded) == 1 and padded[0]() is None
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, xp_ref.grad[:, :, 1:-1, 1:-1])
+    np.testing.assert_array_equal(w.grad, w_ref.grad)
+
+
+def test_tape_keeps_what_rules_read_until_backward():
+    """A matmul operand and gelu's input outlive their tensors until backward
+    has run, then go with the tape."""
+    rng = make_rng(12)
+    w = parameter(rng.normal(size=(3, 5)))
+    x = ad.scale(parameter(rng.normal(size=(4, 3))), 2.0)
+    h = ad.matmul(x, w)
+    refs = [weakref.ref(_owner(x.data)), weakref.ref(_owner(h.data))]
+    loss = ad.sum_(ad.gelu(h))
+    del x, h
+    assert [r() is not None for r in refs] == [True, True]
+    backward(loss)
+    assert [r() is not None for r in refs] == [False, False]
+
+
+def _reachable_from_tape() -> tuple[dict[int, np.ndarray], int]:
+    """Memory-owning arrays reachable from the active tape's nodes, through
+    slots, backward rules' closures and containers, keyed by id; and the
+    number of tensors met on the way."""
+    owners, tensors, seen = {}, 0, set()
+    stack = [ad.active_tape()._nodes]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            owners[id(_owner(o))] = _owner(o)
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in o.__closure__ or ())
+        elif isinstance(o, Tensor):
+            tensors += 1
+            stack.extend((o.data, o.grad))
+        elif hasattr(type(o), "__slots__"):
+            stack.extend(getattr(o, name, None) for name in type(o).__slots__)
+    return owners, tensors
+
+
+def test_tape_after_cli_config_forward_stays_in_budget():
+    """One float32 forward at the CLI's model config (batch 16) leaves at most
+    11 MiB of non-parameter arrays on the tape (23.1 MiB when every op's
+    inputs and output stayed on it), and no tensor."""
+    cfg = CrossFiTConfig(
+        encoder=EncoderConfig(stage_channels=(192,), stride=16, kernel=15, input_size=64),
+        cfa=CfaConfig(layers=3, heads=4, d_t=64, mlp_ratio=4, threshold=0.06,
+                      zero_init_out=True),
+        strategy="crossfit", pe_mode="aligned", mask_enabled=True, num_classes=5)
+    rng = np.random.default_rng(0)
+    with ad.default_dtype_scope(np.float32):
+        model = CrossFiTModel(ad.make_rng(0), cfg)
+        loss = model.loss_batch(rng.random((16, 64, 64, 3), dtype=np.float32),
+                                rng.random((16, 64, 64, 3), dtype=np.float32),
+                                rng.uniform(0.3, 0.7, (16, 2)), rng.uniform(0.3, 0.7, (16, 2)),
+                                rng.integers(0, 5, 16))
+    owners, tensors = _reachable_from_tape()
+    ad.active_tape().clear()
+    params = {id(_owner(p.data)) for _, p in model.parameters()}
+    activation_bytes = sum(a.nbytes for k, a in owners.items() if k not in params)
+    assert loss.dtype == np.float32
+    assert tensors == 0
+    assert activation_bytes <= 11 * 2**20
 
 
 def test_make_rng_deterministic():

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from crossfit import autodiff as ad
 from crossfit import synthdata as sd
+from crossfit.attention import export_attention_record
 from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
 from crossfit.model import CrossFiTModel
+from crossfit.train_eval import build_model_from_checkpoint, load_checkpoint
 
 
 def run_cli(*argv):
@@ -198,6 +201,14 @@ class TestTrain:
                        "--out", str(tmp_path / "m.bin")) == 2
         assert "0 train and 2 test" in capsys.readouterr().err
 
+    def test_split_without_test_eyes_exits_2(self, two_eyes, tmp_path, capsys):
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"data.train_frac": 0.9}, fh)
+        assert run_cli("train", "--data", two_eyes, "--config", cfg_path,
+                       "--out", str(tmp_path / "m.bin")) == 2
+        assert "2 train and 0 test" in capsys.readouterr().err
+
     def test_flag_overrides_config_file(self, data_dir, tmp_path, capsys):
         cfg_path = str(tmp_path / "c.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -252,7 +263,7 @@ class TestEval:
 
     def test_corrupt_header_exits_2(self, trained_ckpt, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
-        blob = bytearray(open(trained_ckpt, "rb").read())
+        blob = bytearray(Path(trained_ckpt).read_bytes())
         blob[10] = ord("#")                  # first byte of the JSON header
         bad.write_bytes(bytes(blob))
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
@@ -260,7 +271,7 @@ class TestEval:
         assert "corrupt header" in capsys.readouterr().err
 
     def test_negative_tensor_dims_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
-        blob = open(trained_ckpt, "rb").read()
+        blob = Path(trained_ckpt).read_bytes()
         (hlen,) = struct.unpack("<I", blob[6:10])
         header = json.loads(blob[10:10 + hlen].decode())
         shape = header["tensors"][0]["shape"]
@@ -291,7 +302,7 @@ class TestEval:
     ])
     def test_mistyped_model_config_exits_2(self, trained_ckpt, data_dir, tmp_path,
                                            capsys, key, value):
-        blob = open(trained_ckpt, "rb").read()
+        blob = Path(trained_ckpt).read_bytes()
         (hlen,) = struct.unpack("<I", blob[6:10])
         header = json.loads(blob[10:10 + hlen].decode())
         section, _, name = key.rpartition(".")
@@ -307,7 +318,7 @@ class TestEval:
     @staticmethod
     def _fill_head(ckpt: str, value: float, out) -> None:
         """Copy `ckpt` to `out` with every entry of `param/head.w` set to `value`."""
-        blob = bytearray(open(ckpt, "rb").read())
+        blob = bytearray(Path(ckpt).read_bytes())
         (hlen,) = struct.unpack("<I", blob[6:10])
         header = json.loads(blob[10:10 + hlen].decode())
         (entry,) = [e for e in header["tensors"] if e["name"] == "param/head.w"]
@@ -491,6 +502,30 @@ class TestInspect:
         np.testing.assert_allclose(f1 - f2, np.broadcast_to(grids["offset"], f1.shape),
                                    atol=1e-5)
         assert np.abs(grids["offset"]).max() > 1e-3   # the eye's discs do move
+
+    def test_leaves_the_tape_empty(self, trained_ckpt, data_dir, tmp_path):
+        """inspect records no op; its attention and mask files still hold what
+        a forward with the tape recording computes for the same eye."""
+        ad.active_tape().clear()
+        out = tmp_path / "probe5"
+        assert run_cli("inspect", "--ckpt", trained_ckpt, "--data", data_dir,
+                       "--eye", "3", "--out", str(out)) == 0
+        assert len(ad.active_tape()) == 0
+        data = sd.load_dataset(data_dir)
+        i = int(np.flatnonzero(data.eye_ids == 3)[0])
+        with ad.default_dtype_scope(np.float32):
+            model = build_model_from_checkpoint(load_checkpoint(trained_ckpt))
+            _, extras = model.forward_batch(data.images1[i:i + 1], data.images2[i:i + 1],
+                                            data.od1[i:i + 1], data.od2[i:i + 1],
+                                            record=True)
+        assert len(ad.active_tape()) > 0
+        ad.active_tape().clear()
+        for path in export_attention_record(extras["attention"], str(tmp_path / "taped")):
+            name = os.path.basename(path)
+            assert (out / name).read_bytes() == Path(path).read_bytes(), name
+        for name, m in zip(("mask_field1.json", "mask_field2.json"), extras["masks"]):
+            bits = json.loads((out / name).read_text(encoding="utf-8"))["bits"]
+            assert bits == [int(b) for b in m.reshape(-1)]
 
     def test_absent_eye_is_lookup_error(self, trained_ckpt, data_dir, tmp_path):
         assert run_cli("inspect", "--ckpt", trained_ckpt, "--data", data_dir,

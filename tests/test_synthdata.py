@@ -1,10 +1,12 @@
 """Generator checks: grading rule, geometry invariants, file round trips."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,8 +416,8 @@ class TestPersistence:
     def test_ppm_truncation_detected(self, tmp_path):
         p = str(tmp_path / "t.ppm")
         write_ppm(p, np.zeros((4, 4, 3), dtype=np.uint8))
-        blob = open(p, "rb").read()
-        open(p, "wb").write(blob[:-5])
+        blob = Path(p).read_bytes()
+        Path(p).write_bytes(blob[:-5])
         with pytest.raises(DataError, match="truncated"):
             read_ppm(p)
 
@@ -425,7 +427,7 @@ class TestPersistence:
     def test_ppm_legal_headers_read(self, tmp_path, header):
         img = (np.arange(4 * 5 * 3, dtype=np.uint8)).reshape(4, 5, 3)
         p = str(tmp_path / "t.ppm")
-        open(p, "wb").write(header + img.tobytes())
+        Path(p).write_bytes(header + img.tobytes())
         np.testing.assert_array_equal(read_ppm(p), img)
 
     @settings(max_examples=150, deadline=None)
@@ -476,7 +478,7 @@ class TestPersistence:
 
     def test_ppm_non_integer_dim_rejected(self, tmp_path):
         p = str(tmp_path / "t.ppm")
-        open(p, "wb").write(b"P6\n5 four\n255\n" + bytes(60))
+        Path(p).write_bytes(b"P6\n5 four\n255\n" + bytes(60))
         with pytest.raises(DataError, match="non-integer"):
             read_ppm(p)
 
@@ -628,6 +630,22 @@ class TestPersistence:
         assert list(train.eye_ids) == list(range(8))
         sub = ds.subset(ds.split_evidence)
         assert all(sub.split_evidence)
+
+    @pytest.mark.parametrize("frac", [0.5, 0.8, 1.0])
+    def test_split_parts_are_views(self, frac):
+        """Both parts share memory with the set and hold the rows the
+        fancy-index copies `ds.subset(order[:k])`, `ds.subset(order[k:])` held."""
+        ds = ArrayDataset.from_samples(generate_dataset(2, 10))
+        train, test = ds.train_test_split(frac)
+        k = int(round(len(ds) * frac))
+        order = np.arange(len(ds))
+        assert len(train) == k and len(test) == len(ds) - k
+        for part, rows in ((train, order[:k]), (test, order[k:])):
+            for f in dataclasses.fields(ArrayDataset):
+                got, full = getattr(part, f.name), getattr(ds, f.name)
+                np.testing.assert_array_equal(got, full[rows])
+                assert got.dtype == full.dtype
+                assert np.shares_memory(got, full) == (len(rows) > 0)
 
     def test_budget_small_batch(self, tmp_path):
         t0 = time.time()

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -392,8 +393,8 @@ def test_checkpoint_truncation_detected(tmp_path):
     ckpt = Checkpoint.from_model(micro_model(18))
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(ckpt, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-10])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-10])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
@@ -402,13 +403,13 @@ def test_checkpoint_corrupt_index_names_tensor(tmp_path):
     ckpt = Checkpoint.from_model(micro_model(19))
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(ckpt, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[6:10])
     header = json.loads(blob[10:10 + hlen].decode())
     victim = header["tensors"][2]
     victim["length"] += 4
     new_header = json.dumps(header).encode()
-    open(path, "wb").write(blob[:6] + struct.pack("<I", len(new_header))
+    Path(path).write_bytes(blob[:6] + struct.pack("<I", len(new_header))
                            + new_header + blob[10 + hlen:])
     with pytest.raises(CheckpointError, match=victim["name"]):
         load_checkpoint(path)
@@ -422,14 +423,14 @@ def test_checkpoint_corrupt_index_names_tensor(tmp_path):
 def test_checkpoint_malformed_index_typed(tmp_path, field, bad):
     path = str(tmp_path / "i.ckpt")
     save_checkpoint(Checkpoint.from_model(micro_model(25)), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[6:10])
     header = json.loads(blob[10:10 + hlen].decode())
     victim = header["tensors"][0]
     assert len(victim["shape"]) == 4            # the first conv stage's weight
     victim[field] = bad(victim[field])
     new_header = json.dumps(header).encode()
-    open(path, "wb").write(blob[:6] + struct.pack("<I", len(new_header))
+    Path(path).write_bytes(blob[:6] + struct.pack("<I", len(new_header))
                            + new_header + blob[10 + hlen:])
     with pytest.raises(CheckpointError, match=victim["name"]):
         load_checkpoint(path)
@@ -438,12 +439,12 @@ def test_checkpoint_malformed_index_typed(tmp_path, field, bad):
 def test_checkpoint_corrupt_header_typed(tmp_path):
     path = str(tmp_path / "h.ckpt")
     save_checkpoint(Checkpoint.from_model(micro_model(23)), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[6:10])
     header = json.loads(blob[10:10 + hlen].decode())
 
     def write_header(raw: bytes):
-        open(path, "wb").write(blob[:6] + struct.pack("<I", len(raw)) + raw
+        Path(path).write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw
                                + blob[10 + hlen:])
 
     for raw in (b"#" + blob[11:10 + hlen],            # not JSON
@@ -490,14 +491,14 @@ def test_checkpoint_config_ignores_unread_keys():
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
     path = str(tmp_path / "x.ckpt")
-    open(path, "wb").write(b"NOPE" + b"\x00" * 16)
+    Path(path).write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
     ckpt = Checkpoint.from_model(micro_model(20))
     good = str(tmp_path / "g.ckpt")
     save_checkpoint(ckpt, good)
-    blob = open(good, "rb").read()
-    open(good, "wb").write(blob[:4] + struct.pack("<H", 9) + blob[6:])
+    blob = Path(good).read_bytes()
+    Path(good).write_bytes(blob[:4] + struct.pack("<H", 9) + blob[6:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(good)
 
