@@ -56,15 +56,15 @@ class CfaConfig:
 
 def _normalize_means(means: np.ndarray) -> np.ndarray:
     """Per-image min-max to [0,1]; a constant map normalizes to all ones so
-    no field can end up fully masked."""
+    no field can end up fully masked. So does a map holding NaN or inf,
+    which has no order to threshold: its non-finite features then reach
+    the outputs, where the loss and output checks report them."""
     lo = means.min(axis=-1, keepdims=True)
     hi = means.max(axis=-1, keepdims=True)
     span = hi - lo
-    flat = span[..., 0] == 0.0
-    span = np.where(span == 0.0, 1.0, span)
-    norm = (means - lo) / span
-    if np.any(flat):
-        norm[flat] = 1.0
+    ordered = np.isfinite(span) & (span > 0.0)
+    norm = (means - lo) / np.where(ordered, span, 1.0)
+    norm[~ordered[..., 0]] = 1.0
     return norm
 
 

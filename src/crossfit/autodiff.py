@@ -1,6 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation on a tape.
 
-Tensors wrap row-major numpy arrays. New tensors take the default dtype:
+Tensors wrap numpy arrays, in any memory layout: `conv2d`, for one, hands
+out an NCHW view of channels-last memory. New tensors take the default dtype:
 float64 (test mode) unless a block opts into float32 (fast mode) with
 `default_dtype_scope`, as the CLI's train, eval, compare and inspect commands
 do for their own duration only. Every differentiable op appends one node to
@@ -300,21 +301,27 @@ def backward(loss: Tensor) -> None:
         g = node.out.grad
         if g is None:
             continue
+        node.out.grad = None  # free intermediate storage as we go
+        g_free = True  # no slot holds g's memory yet
         for s, dt, gi in zip(node.inputs, node.dtypes, node.backward_fn(g)):
             if gi is None or s is None:
                 continue
             if s.grad is None:
                 # add/sub at equal shapes, reshape, transpose and concat hand
-                # back g or a view of it; every other rule returns a fresh array
+                # back g or a view of it; every other rule returns a fresh array.
+                # The node has dropped g, so one slot may own a view of all of
+                # g, in whatever layout; a second alias, or a part of g, is copied.
                 if gi.dtype != dt:
                     s.grad = gi.astype(dt)
-                elif np.may_share_memory(gi, g):
-                    s.grad = gi.copy()
-                else:
+                elif not np.may_share_memory(gi, g):
                     s.grad = gi
+                elif g_free and gi.size == g.size:
+                    s.grad = gi
+                    g_free = False
+                else:
+                    s.grad = gi.copy()
             else:
                 s.grad += gi
-        node.out.grad = None  # free intermediate storage as we go
     _TAPE.clear()
 
 
@@ -322,6 +329,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum out broadcast dimensions so g collapses back to `shape`."""
     if g.shape == shape:
         return g
+    # numpy sums in memory order; summing in C order makes the result the
+    # same whatever layout g arrives in
+    g = np.ascontiguousarray(g)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
@@ -724,13 +734,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output extent {ho}x{wo} non-positive for input {h}x{wdt}, "
                          f"kernel {k}, stride {stride}, pad {pad}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    hp, wp = h + 2 * pad, wdt + 2 * pad
+    if pad:
+        # one zero fill and one copy; the copy also moves a channels-last
+        # input into the C-order layout the patch gather reads fastest
+        xp = np.zeros((n, c_in, hp, wp), xd.dtype)
+        xp[:, :, pad:pad + h, pad:pad + wdt] = xd
+    else:
+        xp = xd
     cols = _im2col(xp, k, stride, ho, wo)                       # (n*ho*wo, ckk)
     wmat = w.data.reshape(c_out, c_in * k * k)
-    w_shape, xp_shape, x_grad = w.shape, xp.shape, x.requires_grad
-    # rows are (n, ho, wo); copy to C-order NCHW, the layout the gradients
-    # come back in (elementwise backward ops run ~5x slower on mixed layouts)
-    out = np.ascontiguousarray((cols @ wmat.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
+    w_shape, x_grad = w.shape, x.requires_grad
+    # GEMM rows are (n, ho, wo): the output is channels-last in memory, handed
+    # out as an NCHW view. Elementwise ops after it keep that layout, and the
+    # gradient that comes back in it reshapes to the GEMM's rows with no copy.
+    out = (cols @ wmat.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
+    # x's gradient goes back in x's layout: elementwise backward ops run
+    # several times slower on mixed layouts
+    x_last = xd.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def bw(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
@@ -738,12 +759,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if not x_grad:  # an image batch: its gradient would be dropped
             return None, gw
         gcols = (gmat @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros(xp_shape, cols.dtype)
+        if x_last:
+            gxp = np.zeros((n, hp, wp, c_in), cols.dtype).transpose(0, 3, 1, 2)
+        else:
+            gxp = np.zeros((n, c_in, hp, wp), cols.dtype)
         for ki in range(k):
             for kj in range(k):
                 gxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += gcols[:, :, ki, kj]
-        gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
-        return gx, gw
+        return gxp[:, :, pad:pad + h, pad:pad + wdt], gw
 
     return _record(out, (x, w), bw)
 

@@ -99,7 +99,11 @@ class Encoder:
             yield f"enc.stage{i}.b", b
 
     def __call__(self, x: Tensor) -> Tensor:
-        """(n,3,S,S) -> (n,h,w,d_e) channels-last."""
+        """(n,3,S,S) -> (n,h,w,d_e) channels-last, C-contiguous.
+
+        `conv2d` hands out its output as an NCHW view of channels-last
+        memory; the bias add and relu keep that layout, so the final
+        transpose is a view and the tokens flatten without a copy."""
         s = self.cfg.input_size
         if x.ndim != 4 or x.shape[1:] != (3, s, s):
             raise ShapeError(f"encoder expects (n,3,{s},{s}) input, got {x.shape}")

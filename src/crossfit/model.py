@@ -142,8 +142,10 @@ class CrossFiTModel:
     def _encode_fields(self, imgs1: np.ndarray, imgs2: np.ndarray):
         """Channels-last [0,1] image batches -> feature tensors + mask bits."""
         dt = ad.default_dtype()
-        x1 = self.encoder(Tensor(np.moveaxis(imgs1, 3, 1).astype(dt)))
-        x2 = self.encoder(Tensor(np.moveaxis(imgs2, 3, 1).astype(dt)))
+        # NCHW views of the channels-last batches, cast only where the dtype
+        # differs: the encoder's centering is the first pass over the pixels
+        x1 = self.encoder(Tensor(np.moveaxis(imgs1, 3, 1).astype(dt, copy=False)))
+        x2 = self.encoder(Tensor(np.moveaxis(imgs2, 3, 1).astype(dt, copy=False)))
         m1 = m2 = None
         if self.cfg.mask_enabled:
             p = self.cfg.cfa.threshold
@@ -207,7 +209,7 @@ class CrossFiTModel:
         if cfg.strategy in _SINGLE_STRATEGIES:
             imgs = imgs1 if cfg.strategy == "single_field_1" else imgs2
             dt = ad.default_dtype()
-            x = self.encoder(Tensor(np.moveaxis(imgs, 3, 1).astype(dt)))
+            x = self.encoder(Tensor(np.moveaxis(imgs, 3, 1).astype(dt, copy=False)))
             m = None
             if cfg.mask_enabled:
                 m = masks_from_features(x.data, cfg.cfa.threshold)

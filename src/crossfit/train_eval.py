@@ -242,16 +242,13 @@ def evaluate(model: CrossFiTModel, dataset, batch_size: int = 32) -> MetricsRepo
 # training
 
 
-def _flip_horizontal(imgs1, imgs2, od1, od2, which: np.ndarray):
-    imgs1 = imgs1.copy()
-    imgs2 = imgs2.copy()
-    od1 = od1.copy()
-    od2 = od2.copy()
+def _flip_horizontal(imgs1, imgs2, od1, od2, which: np.ndarray) -> None:
+    """Mirror the eyes `which` left-right, in place: callers pass the
+    batch's own gathered copies, never the dataset's arrays."""
     imgs1[which] = imgs1[which, :, ::-1]
     imgs2[which] = imgs2[which, :, ::-1]
     od1[which, 0] = 1.0 - od1[which, 0]
     od2[which, 0] = 1.0 - od2[which, 0]
-    return imgs1, imgs2, od1, od2
 
 
 def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
@@ -281,7 +278,7 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
             if cfg.hflip:
                 which = rng.uniform(size=len(take)) < 0.5
                 if which.any():
-                    i1, i2, o1, o2 = _flip_horizontal(i1, i2, o1, o2, which)
+                    _flip_horizontal(i1, i2, o1, o2, which)
             try:
                 loss = model.loss_batch(i1, i2, o1, o2, labels)
             except DegenerateRowError as exc:

@@ -461,8 +461,58 @@ def test_tape_frees_activations_no_rule_reads():
         np.testing.assert_array_equal(g, g_kept)
 
 
-def test_conv2d_frees_its_padded_input(monkeypatch):
-    """conv2d's backward needs the padded input's shape, not the array; the
+def _conv2d_nchw_reference(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+    """Cross-correlation on a C-order NCHW copy: pad, gather one patch row per
+    output position with plain slicing, one GEMM, copy back to C-order NCHW."""
+    n, _, h, wdt = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(np.ascontiguousarray(x), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wdt + 2 * pad - k) // stride + 1
+    rows = [xp[b, :, i * stride:i * stride + k, j * stride:j * stride + k].reshape(-1)
+            for b in range(n) for i in range(ho) for j in range(wo)]
+    out = np.stack(rows) @ w.reshape(c_out, -1).T
+    return np.ascontiguousarray(out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
+
+
+# (n, c_in, side, c_out, k, stride, pad): the CLI's one stage, a 3x3 stage
+@pytest.mark.parametrize("geometry", [(3, 3, 64, 192, 15, 16, 7), (2, 5, 9, 4, 3, 2, 1)])
+@pytest.mark.parametrize("channels_last", [False, True])
+def test_conv2d_matches_nchw_reference_bitwise(geometry, channels_last):
+    """Float64 values equal the plain NCHW computation bit for bit, whatever
+    the input's layout; the output is an NCHW view of channels-last memory."""
+    n, c_in, side, c_out, k, stride, pad = geometry
+    rng = make_rng(17)
+    x = rng.normal(size=(n, side, side, c_in))
+    x = np.moveaxis(x, 3, 1) if channels_last else np.ascontiguousarray(np.moveaxis(x, 3, 1))
+    w = rng.normal(size=(c_out, c_in, k, k))
+    out = ad.conv2d(tensor(x), tensor(w), stride=stride, pad=pad).data
+    assert out.tobytes() == _conv2d_nchw_reference(x, w, stride, pad).tobytes()
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous and not out.flags.owndata
+
+
+def test_conv2d_input_gradient_keeps_input_layout():
+    """A channels-last input gets its gradient back laid out channels-last
+    (the unpadded part of a padded buffer), with the values an NCHW input
+    gets."""
+    rng = make_rng(19)
+    x_last = rng.normal(size=(2, 9, 9, 5))
+    w_init = rng.normal(size=(4, 5, 3, 3))
+    c = rng.normal(size=(2, 4, 5, 5))
+    grads = []
+    for xd in (np.moveaxis(x_last, 3, 1), np.ascontiguousarray(np.moveaxis(x_last, 3, 1))):
+        x = parameter(xd)
+        backward(ad.sum_(ad.mul(ad.conv2d(x, parameter(w_init), stride=2, pad=1), tensor(c))))
+        grads.append(x.grad)
+    n_s, c_s, h_s, w_s = grads[0].strides
+    assert c_s < w_s < h_s < n_s
+    n_s, c_s, h_s, w_s = grads[1].strides
+    assert w_s < h_s < c_s < n_s
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_conv2d_frees_its_padded_input():
+    """conv2d's backward needs the padded input's shape, not the array: none
+    of that shape is reachable from the tape after forward, and the
     gradients match a pad-0 conv of an explicitly padded copy."""
     rng = make_rng(13)
     xd = rng.normal(size=(2, 3, 6, 6))
@@ -472,18 +522,10 @@ def test_conv2d_frees_its_padded_input(monkeypatch):
     w_ref = parameter(w_init)
     backward(ad.sum_(ad.mul(ad.conv2d(xp_ref, w_ref, stride=2), c)))
 
-    padded = []
-    real_pad = np.pad
-
-    def recording_pad(*args, **kwargs):
-        out = real_pad(*args, **kwargs)
-        padded.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(np, "pad", recording_pad)
     x, w = parameter(xd), parameter(w_init)
     loss = ad.sum_(ad.mul(ad.conv2d(x, w, stride=2, pad=1), c))
-    assert len(padded) == 1 and padded[0]() is None
+    owners, _ = _reachable_from_tape()
+    assert owners and all(a.shape != xp_ref.shape for a in owners.values())
     backward(loss)
     np.testing.assert_array_equal(x.grad, xp_ref.grad[:, :, 1:-1, 1:-1])
     np.testing.assert_array_equal(w.grad, w_ref.grad)

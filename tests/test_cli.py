@@ -316,12 +316,12 @@ class TestEval:
         assert "no valid model config" in capsys.readouterr().err
 
     @staticmethod
-    def _fill_head(ckpt: str, value: float, out) -> None:
-        """Copy `ckpt` to `out` with every entry of `param/head.w` set to `value`."""
+    def _fill_head(ckpt: str, value: float, out, name: str = "param/head.w") -> None:
+        """Copy `ckpt` to `out` with every entry of tensor `name` set to `value`."""
         blob = bytearray(Path(ckpt).read_bytes())
         (hlen,) = struct.unpack("<I", blob[6:10])
         header = json.loads(blob[10:10 + hlen].decode())
-        (entry,) = [e for e in header["tensors"] if e["name"] == "param/head.w"]
+        (entry,) = [e for e in header["tensors"] if e["name"] == name]
         start = 10 + hlen + entry["offset"]
         blob[start:start + entry["length"]] = np.full(entry["length"] // 4, value,
                                                       dtype="<f4").tobytes()
@@ -361,6 +361,22 @@ class TestEval:
         assert captured.out == ""
         assert (captured.err.startswith("error: model outputs are non-finite")
                 and captured.err.count("\n") == 1)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_encoder_overflowing_float32_exit_2(self, trained_ckpt, data_dir, tmp_path,
+                                               capsys, command):
+        """Encoder features that overflow leave the mask nothing finite to
+        threshold; the non-finite outputs, not the mask, are reported."""
+        bad = tmp_path / "huge_encoder.bin"
+        self._fill_head(trained_ckpt, 3e38, bad, name="param/enc.stage0.w")
+        out = tmp_path / "out"
+        args = (["eval", "--report", str(out)] if command == "eval"
+                else ["inspect", "--eye", "0", "--out", str(out)])
+        assert run_cli(*args, "--data", data_dir, "--ckpt", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model outputs are non-finite") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("subset, frac, message", [

@@ -6,6 +6,7 @@ import pytest
 import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, ShapeError, Tensor, backward, make_rng
 from crossfit.encoder import Encoder, EncoderConfig
+from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 def encode(enc, images):
@@ -116,3 +117,18 @@ def test_stub_divisibility_contract(encode_stub):
         encode_stub(np.ones((9, 9, 3)), 4)
     with pytest.raises(ShapeError):
         encode_stub(np.ones((8, 6, 3)), 2)
+
+
+def test_cli_geometry_output_is_channels_last_and_flattens_as_a_view():
+    """At the CLI's one 15x15, stride-16 stage, the encoder's (n,h,w,d_e)
+    output is C-contiguous, so the model's flatten to (n, h*w, d_e) tokens
+    is a view of it, not a copy."""
+    cfg = CrossFiTConfig(encoder=EncoderConfig(stage_channels=(192,), stride=16, kernel=15,
+                                               input_size=64), strategy="feat_max")
+    model = CrossFiTModel(make_rng(0), cfg)
+    images = make_rng(1).uniform(size=(2, 64, 64, 3))
+    with ad.no_grad():
+        x = model.encoder(Tensor(np.moveaxis(images, 3, 1)))
+        tokens = model._flatten(x)
+    assert x.shape == (2, 4, 4, 192) and x.data.flags.c_contiguous
+    assert tokens.shape == (2, 16, 192) and np.shares_memory(tokens.data, x.data)

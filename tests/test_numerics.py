@@ -91,103 +91,103 @@ PINNED = {
         ("88e3be5f218e1146a15ac46e90b43c94852d7cd27424c547de6b8d776914c9e9",
          15.008285443684589, -0.011034236143713093)),
     "feat_max/-/mask-on": (
-        ("45baf0362b4f0e9f8491120c230910a1cfe64210ee279ec07242eb8c88196338",
-         0.6638267145075034, 0.06867314098561358),
+        ("1cf1eabb3c66482a4f5a2246bea5cce612f14de4d8fdc8c90e187e52ed7c751e",
+         0.6638267145075035, 0.06867314098561358),
         ("0c2353536ccb852cc00b0ff2fe0497074c58cb07f2b0f928de92f0f2e66e9fdc",
          1.6726377634806697, 1.6726377634806697),
-        ("549bb98ee8b14e3cdbd710262e18dcdf1c61857b4830ca001ad3688938bc8eb7",
-         2.152911307756673, -0.0068442916228049)),
+        ("081ab703293ad411d5fa5a8135d5db621a4edffbd9ecf81f972c973f50b558d3",
+         2.1529113077566726, -0.006844291622804898)),
     "feat_max/-/mask-off": (
-        ("f75d82c2647164c563d66536e341e5ca68b60d43b612363745cb8ae340ba08e0",
-         0.650814686503524, 0.07530134899695905),
-        ("ec4350362688fc6590bda70633257f55e17f608d075db73183fb65ef79c246d0",
-         1.6687113866131074, 1.6687113866131074),
-        ("d187032e6643c7b6c88c8d17c59c6e3cc32a9edb29d4ef3dcdc913b7e0af6771",
-         2.1030825249672764, -0.006710911084656126)),
+        ("db470418db9393fc79b1887634ee92d3315c4a091c741cc780002902428db351",
+         0.650814686503524, 0.0753013489969591),
+        ("50c10dfb361bcd86987eab4244aab20529a0160e0c0c5a214a6d92788bd3d0e4",
+         1.6687113866131076, 1.6687113866131076),
+        ("23e141d0812d68e70b362ff58ba16dcb4c9e63867c50dd1182501db41654c365",
+         2.1030825249672764, -0.006710911084656127)),
     "feat_avg/-/mask-on": (
-        ("0b5814a5237f5b3ad9efaff6daccf11524ad4599471d5da2c2dc142c879069b2",
-         0.647398343932768, 0.07163897023006294),
-        ("5a0a9b9b648945372479a8cf4800b0a703df5c1a1e6493acbca14a9ed1789643",
-         1.6690446658147082, 1.6690446658147082),
-        ("70f9e13f68b51e06cd1e5ce3bf439d5ac2cec25b97fe3b794d38de6ab1e92f63",
-         2.0978296052745375, -0.006260448607210502)),
+        ("3b0e388e9f4404fe660f7e5bee9edce8e84e0b6e7b4cceb42e0846aac7e3cdfa",
+         0.647398343932768, 0.07163897023006291),
+        ("7b3d867015d8d7b2344361afaf66c748fbaccb24aa3d1196afec1904669ce3e0",
+         1.669044665814708, 1.669044665814708),
+        ("ee7cd7a7c631e2d871f43781c45fbc0583c877aab93b175a3149e9ee78764340",
+         2.0978296052745375, -0.006260448607210501)),
     "feat_avg/-/mask-off": (
-        ("131444443c9168aa58d7df32d40deff534fc7964863a10049392e0c20bb01a9c",
-         0.6356479980974248, 0.07808181391363062),
-        ("a0758c23debcdb950b76b00089c27af87a8bddc9e7d1a81c0bd3d9a881e8447a",
-         1.6653572169745248, 1.6653572169745248),
-        ("dbd80bbf64bb53789096479e70180e089cd745cba97a63c5abf0580eb58819f0",
-         2.0523454659596263, -0.006170499274471493)),
+        ("022563dc1fd799a916afe3f801a1783c7017701c789a60448d8673f4ee5106dd",
+         0.6356479980974248, 0.0780818139136306),
+        ("2dda516bfad4925a9d6620426de46d8eb402298e4558d07e25172b3866e33d3e",
+         1.6653572169745245, 1.6653572169745245),
+        ("7137d7524bf1e3053b47f743a67c89a56265c237d87147c0cb52da7ebdf41c1f",
+         2.0523454659596263, -0.006170499274471494)),
     "feat_concat/-/mask-on": (
-        ("948f87a4b7fb48f07f42431a1b3913e6172f4ea6ad1e47cac88418a7e835c100",
+        ("53b4946ac366078f45f4a2fa0a87a892731bb5515664a177af373c8dcad8f9d9",
          0.6165710159117294, 0.09753828349557175),
         ("2a9f8bbe2f26533df9a8c745aba5e4304b3b6f0a430bd4779e38824404dd4927",
          1.6414882644897106, 1.6414882644897106),
-        ("da5b780a129e5f8d2f9a1c9c91a9b0ef6b5ac375792f8111322496be12fcee67",
-         2.532354383547131, -0.012639995390129595)),
+        ("a26715a6bfe4154b5c99d6d06b43658e99891fb5e72a683b536b2b9e42fee5c8",
+         2.532354383547131, -0.012639995390129593)),
     "feat_concat/-/mask-off": (
-        ("d348d10ab9ff0dbe1932abaeaeab2cd1297dd9c19bdb5cdf0794616d142599e2",
-         0.6213375351837239, 0.10783419660977911),
-        ("b5031d78e71ab6a8d2478e9b75340a80a424842e11595b408c69633f364e68d2",
-         1.6397229412956926, 1.6397229412956926),
-        ("ae4d9059579864dcce01ac6cf42a6bbe18702526fbd84a42d813a17caaf8ad55",
-         2.4860330656012577, -0.012455425433690617)),
+        ("54a73e3bdfefb184b512665f1691d2d49661957628b0eb2dff0a29596ff55bf5",
+         0.621337535183724, 0.10783419660977914),
+        ("cfe62ee6a8d2f4633bad42c24d1c73d80be283cd68c0a9de727bca1fc6d3cf7b",
+         1.6397229412956924, 1.6397229412956924),
+        ("10a3c5bef46b758d3df3c12d32595dfb85692e576d34b3602148af689f5b23c1",
+         2.4860330656012577, -0.01245542543369062)),
     "pred_avg/-/mask-on": (
-        ("d62d9efc00733cd2f4df991fc43c6f2b3e269d15d4bb3322ae956d29cf06f7f4",
-         0.9175693226339351, -0.043543761995040065),
+        ("fe7d131bb536b6c3d622aabfd5e70a6eb249ceb3a31be8af62615cb2d306eebb",
+         0.9175693226339352, -0.04354376199504009),
         ("af3d043bd805cbc79f9edfefa980b75924bc02eace087289781322ac028a7e91",
          3.3381778691725006, 3.3381778691725006),
-        ("42845671b4383160310656e2875887ef1e874f20e346bd0a19ffd350331c6578",
+        ("666503b1a17e42baa114284b9b29d4bbd121ed9a8fd11f469dade9879db3becd",
          4.195747487970774, -0.01250733566235456)),
     "pred_avg/-/mask-off": (
-        ("da09d2bef16718102737e4353f8146664aeb9e6e17572d6c14cf778e0e28a02b",
+        ("3414ee262017a7c23f0db97e2f1f00977c8b6ea050fb2193c6f25abca1487c30",
          0.9007412769949241, -0.04412450845767432),
         ("7080b6399f78521bee2acd61c3b542125adffaf7ae3ff4279fb43fba2959d5f1",
          3.3307922231262506, 3.3307922231262506),
-        ("aa9c5a64a28669cb45dfe850a751489c54b695f46960e3a07be7f30d023e4411",
-         4.104766673901025, -0.012329090481691497)),
+        ("b6a9943dad6376114571e16f76140c7eff6016544d2479c66af9210049b44990",
+         4.104766673901025, -0.012329090481691505)),
     "pred_max/-/mask-on": (
-        ("d62d9efc00733cd2f4df991fc43c6f2b3e269d15d4bb3322ae956d29cf06f7f4",
-         0.9175693226339351, -0.043543761995040065),
+        ("fe7d131bb536b6c3d622aabfd5e70a6eb249ceb3a31be8af62615cb2d306eebb",
+         0.9175693226339352, -0.04354376199504009),
         ("af3d043bd805cbc79f9edfefa980b75924bc02eace087289781322ac028a7e91",
          3.3381778691725006, 3.3381778691725006),
-        ("42845671b4383160310656e2875887ef1e874f20e346bd0a19ffd350331c6578",
+        ("666503b1a17e42baa114284b9b29d4bbd121ed9a8fd11f469dade9879db3becd",
          4.195747487970774, -0.01250733566235456)),
     "pred_max/-/mask-off": (
-        ("da09d2bef16718102737e4353f8146664aeb9e6e17572d6c14cf778e0e28a02b",
+        ("3414ee262017a7c23f0db97e2f1f00977c8b6ea050fb2193c6f25abca1487c30",
          0.9007412769949241, -0.04412450845767432),
         ("7080b6399f78521bee2acd61c3b542125adffaf7ae3ff4279fb43fba2959d5f1",
          3.3307922231262506, 3.3307922231262506),
-        ("aa9c5a64a28669cb45dfe850a751489c54b695f46960e3a07be7f30d023e4411",
-         4.104766673901025, -0.012329090481691497)),
+        ("b6a9943dad6376114571e16f76140c7eff6016544d2479c66af9210049b44990",
+         4.104766673901025, -0.012329090481691505)),
     "single_field_1/-/mask-on": (
-        ("eb7d7f96680080869359d11453d245fc6e518f609a1d28bd607f5d98117d7aa7",
-         0.665356585683978, 0.06869538314568192),
+        ("afee6bf3d144986cbb538d429b183947e9e319e36b911447aad2250a7fd52318",
+         0.6653565856839782, 0.06869538314568191),
         ("0ae46a84c79b07bddc3beeeba7e0f5545d2457a50701ffa7bf302ab70b517d9f",
          1.6723899726855556, 1.6723899726855556),
-        ("0118e2b73e6aa8bc088927dea20cdb26b4dbbfe1ce5bf9ac66f652d03c4f78b3",
+        ("c91868aeaa359d1258aed582d935ee4bc6ca0f80df9e08ba38ca7b26393422a3",
          2.1280569922387262, -0.005776725518170487)),
     "single_field_1/-/mask-off": (
-        ("db87e4af9a3234d5a2d48476dee0726959866e64d156e09d5ed0d6ddf20a2329",
+        ("c9bb8b458f8610f577c05c476238cd50eecff6068b695037b50f63370e49f2e6",
          0.6523449428849368, 0.07532220102202306),
         ("94bd466d5ec9868757c901f560d78d75da6f406db2633e7350cbbf2dde0bad80",
          1.668474194436796, 1.668474194436796),
-        ("6699b4e95571c8dd45cc7e6d4d338c8331e039105f1b4ff9a1854f08780ef947",
-         2.080458250908505, -0.005719670263847295)),
+        ("c3ff0e7554a25590b49ca4000fa87d44b4eb8fd3203d99729d0dd9ef399d0eb7",
+         2.080458250908505, -0.005719670263847294)),
     "single_field_2/-/mask-on": (
-        ("8ffa9f3cbeef730dad2d51af88322a3b70be5fea0cc567e328e27268ab7ada03",
-         0.6318497255881794, 0.07458255731444435),
+        ("6484a3f30580d52d30fd621b4d9837930ecb0ed4afb27cdb3accb4425f26ce89",
+         0.6318497255881795, 0.0745825573144444),
         ("fb94eeb651b32de3aed293f7bbe24198096b9fd65691ad5b5e6e74363ff53bfc",
          1.665787896486945, 1.665787896486945),
-        ("73d13209a3296b93e35c2b76efe63ae7d0044badf09759b8703f5c03d2ab99a4",
-         2.0886164122287822, -0.006730610144184075)),
+        ("f5ddd9822f7ae2753e494ee16cabb3474349ef7cd6a4207135ddb6915c5fdfda",
+         2.0886164122287822, -0.006730610144184074)),
     "single_field_2/-/mask-off": (
-        ("ee6329e43651eba535e610c42f4ad5804661cd43bea8c5984c2b1fcba7f5c0a5",
-         0.6211126496658196, 0.08084142680523801),
+        ("ad8ce8e18b91bd346efe7957f2ea86932944924fd6e81099d12d8726419593db",
+         0.6211126496658196, 0.080841426805238),
         ("24f4726075a01e256df574e7f7edc27b4aefcb80f515594c25d7693a171518ff",
          1.6623180286894543, 1.6623180286894543),
-        ("779cefd1ce2ed7e5b4903f3c511858e3dc847b8c97552d194976d396260b5014",
-         2.043026374277774, -0.006609420217844206)),
+        ("b73ab38d40e502d302023406cf8d1934ed8693b8459b077a0dfe7b704bacc4c4",
+         2.043026374277774, -0.0066094202178442075)),
 }
 
 

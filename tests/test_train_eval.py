@@ -324,6 +324,18 @@ def test_train_divergence_aborts():
     assert len(ad.active_tape()) == 0
 
 
+def test_train_encoder_overflow_diverges():
+    """Non-finite encoder features give a non-finite loss, not a mask with
+    no set bit: training stops with TrainingDiverged and an empty tape."""
+    model = micro_model(10)
+    for w in model.encoder.weights:
+        w.data[...] = 1e300
+    cfg = TrainConfig(lr=0.01, batch_size=4, epochs=1, seed=3, hflip=False)
+    with pytest.raises(TrainingDiverged, match="non-finite loss"), np.errstate(all="ignore"):
+        train(model, tiny_dataset(11), cfg)
+    assert len(ad.active_tape()) == 0
+
+
 def test_evaluate_populates_report():
     model = micro_model(12)
     data = tiny_dataset(13, n=10)
