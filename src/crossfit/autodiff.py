@@ -749,9 +749,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     # out as an NCHW view. Elementwise ops after it keep that layout, and the
     # gradient that comes back in it reshapes to the GEMM's rows with no copy.
     out = (cols @ wmat.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
-    # x's gradient goes back in x's layout: elementwise backward ops run
-    # several times slower on mixed layouts
-    x_last = xd.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def bw(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
@@ -759,10 +756,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if not x_grad:  # an image batch: its gradient would be dropped
             return None, gw
         gcols = (gmat @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-        if x_last:
-            gxp = np.zeros((n, hp, wp, c_in), cols.dtype).transpose(0, 3, 1, 2)
-        else:
-            gxp = np.zeros((n, c_in, hp, wp), cols.dtype)
+        # channels-last, like the only input that needs a gradient: a later
+        # stage's input, which is an earlier conv2d's output
+        gxp = np.zeros((n, hp, wp, c_in), cols.dtype).transpose(0, 3, 1, 2)
         for ki in range(k):
             for kj in range(k):
                 gxp[:, :, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += gcols[:, :, ki, kj]

@@ -3,17 +3,21 @@
 One training step's logits, loss and every parameter gradient, at the CLI
 default config on a fixed batch of four generated eyes, for all 8 strategies
 with the mask on and off, and for `crossfit` under each of the 4 PE modes.
+For the two decision-level strategies the logits also include the fused
+probabilities (`fuse_decisions`), the only output that tells them apart.
 A change to the model or the tape that alters a single bit shows here.
 
 The digests are computed in a subprocess with `OPENBLAS_NUM_THREADS=1`,
-because OpenBLAS changes its summation order with the thread count; they
-are also specific to this machine's OpenBLAS kernels. Each kind of output
-therefore also pins its L2 norm and its projection on a fixed random
-vector. On a mismatch the test reports the relative L2 change these two
-numbers imply (a lower bound on the true one): a few 1e-16 is a reordered
-sum or another BLAS kernel, anything larger is a changed result.
+because OpenBLAS changes its summation order with the thread count. They
+also depend on the numpy version, its BLAS build and the CPU's SIMD
+targets, recorded in PINNED_PLATFORM: on any other platform the tests skip
+and say what differs. Each kind of output also pins its L2 norm and its
+projection on a fixed random vector. On a mismatch the test reports the
+relative L2 change these two numbers imply (a lower bound on the true one):
+a few 1e-16 is a reordered sum, anything larger is a changed result.
 
-Run as a script to print the current values (`python tests/test_numerics.py`).
+Run as a script to print the current platform and values
+(`python tests/test_numerics.py`).
 """
 
 import hashlib
@@ -27,10 +31,17 @@ import pytest
 
 import crossfit.autodiff as ad
 from crossfit.cli import _DEFAULTS, _build_configs
-from crossfit.model import PE_MODES, STRATEGIES, CrossFiTModel
+from crossfit.model import PE_MODES, STRATEGIES, CrossFiTModel, fuse_decisions
 from crossfit.synthdata import ArrayDataset, generate_dataset
 
 KINDS = ("logits", "loss", "gradients")
+
+# what the digests depend on besides the code; see `_platform`
+PINNED_PLATFORM = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "simd": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
+}
 
 # row -> one (SHA-256 digest, L2 norm, projection) triple per kind
 PINNED = {
@@ -133,29 +144,29 @@ PINNED = {
         ("10a3c5bef46b758d3df3c12d32595dfb85692e576d34b3602148af689f5b23c1",
          2.4860330656012577, -0.01245542543369062)),
     "pred_avg/-/mask-on": (
-        ("fe7d131bb536b6c3d622aabfd5e70a6eb249ceb3a31be8af62615cb2d306eebb",
-         0.9175693226339352, -0.04354376199504009),
+        ("e1394cafaf572406a85a1ea2cc34625f453c36254eb037fe09108bf04cdb5cc3",
+         1.2878967818920786, 0.012672098454510913),
         ("af3d043bd805cbc79f9edfefa980b75924bc02eace087289781322ac028a7e91",
          3.3381778691725006, 3.3381778691725006),
         ("666503b1a17e42baa114284b9b29d4bbd121ed9a8fd11f469dade9879db3becd",
          4.195747487970774, -0.01250733566235456)),
     "pred_avg/-/mask-off": (
-        ("3414ee262017a7c23f0db97e2f1f00977c8b6ea050fb2193c6f25abca1487c30",
-         0.9007412769949241, -0.04412450845767432),
+        ("04ad13065c39d9f39a7a2c306fc1da3c108b19aa78f287febe615d42954ad1fe",
+         1.2755542799993407, 0.012101476808462016),
         ("7080b6399f78521bee2acd61c3b542125adffaf7ae3ff4279fb43fba2959d5f1",
          3.3307922231262506, 3.3307922231262506),
         ("b6a9943dad6376114571e16f76140c7eff6016544d2479c66af9210049b44990",
          4.104766673901025, -0.012329090481691505)),
     "pred_max/-/mask-on": (
-        ("fe7d131bb536b6c3d622aabfd5e70a6eb249ceb3a31be8af62615cb2d306eebb",
-         0.9175693226339352, -0.04354376199504009),
+        ("7eb4ff25879d89ec260506eb906242ae6405c84685f9434621288757d40574de",
+         1.2882818032759227, 0.012494195576838221),
         ("af3d043bd805cbc79f9edfefa980b75924bc02eace087289781322ac028a7e91",
          3.3381778691725006, 3.3381778691725006),
         ("666503b1a17e42baa114284b9b29d4bbd121ed9a8fd11f469dade9879db3becd",
          4.195747487970774, -0.01250733566235456)),
     "pred_max/-/mask-off": (
-        ("3414ee262017a7c23f0db97e2f1f00977c8b6ea050fb2193c6f25abca1487c30",
-         0.9007412769949241, -0.04412450845767432),
+        ("ff812349eb70316d0c6a6b31439757d362024cb15e6dc104f8e3f2821ec7830b",
+         1.2759057606167574, 0.011933637498413011),
         ("7080b6399f78521bee2acd61c3b542125adffaf7ae3ff4279fb43fba2959d5f1",
          3.3307922231262506, 3.3307922231262506),
         ("b6a9943dad6376114571e16f76140c7eff6016544d2479c66af9210049b44990",
@@ -191,6 +202,15 @@ PINNED = {
 }
 
 
+def _platform() -> dict:
+    """numpy's version, its BLAS build and the SIMD targets this CPU offers
+    (OpenBLAS picks its kernels at run time from the same CPU features)."""
+    cfg = np.show_config(mode="dicts")
+    blas = cfg["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "simd": sorted(cfg.get("SIMD Extensions", {}).get("found", []))}
+
+
 def _rows() -> list[str]:
     rows = []
     for strategy in STRATEGIES:
@@ -220,8 +240,12 @@ def _step(row: str) -> dict[str, list[np.ndarray]]:
         logits, _ = model.forward_batch(*batch)
     loss = model.loss_batch(*batch, d.grades)
     ad.backward(loss)
-    logits = logits if isinstance(logits, tuple) else (logits,)
-    return {"logits": [t.data for t in logits], "loss": [loss.data],
+    if isinstance(logits, tuple):
+        logits = [t.data for t in logits]
+        logits.append(fuse_decisions(*logits, strategy))
+    else:
+        logits = [logits.data]
+    return {"logits": logits, "loss": [loss.data],
             "gradients": [p.grad for _, p in model.parameters()]}
 
 
@@ -248,12 +272,15 @@ def _relative_change(got, want) -> float:
 
 @pytest.fixture(scope="module")
 def one_thread_fingerprints():
+    if _platform() != PINNED_PLATFORM:
+        pytest.skip(f"digests pinned on {PINNED_PLATFORM}, this platform is {_platform()}; "
+                    "regenerate them with `python tests/test_numerics.py`")
     src = os.path.dirname(os.path.dirname(ad.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                          text=True, timeout=600, check=True)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout)["rows"]
 
 
 @pytest.mark.parametrize("row", _rows())
@@ -265,5 +292,6 @@ def test_float64_step_matches_pinned_digest(one_thread_fingerprints, row):
 
 
 if __name__ == "__main__":
-    print(json.dumps({row: [_fingerprint(a) for a in _step(row).values()] for row in _rows()},
-                     indent=1))
+    print(json.dumps({"platform": _platform(),
+                      "rows": {row: [_fingerprint(a) for a in _step(row).values()]
+                               for row in _rows()}}, indent=1))
