@@ -28,6 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CfaConfig:
+    """Cross-field attention stack and mask. Every CLI command takes its values
+    from `cli._DEFAULTS`; the defaults here serve library callers and tests only."""
+
     layers: int = 3
     heads: int = 4
     d_t: int = 64

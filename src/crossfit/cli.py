@@ -1,20 +1,24 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, eval, compare, inspect, sweep.
+Subcommands: gen-data, train, eval, compare, inspect.
 Every command is deterministic given its flags and seeds.  Exit codes:
 0 success, 1 training diverged, 2 usage / I-O error (bad flags, config,
 data or checkpoint, or a model whose outputs overflow).
 
 Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
 command-line flags override file values, file values override defaults.
+`compare` trains one model per seed at each point of a grid over config
+keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import sys
 import time
@@ -69,6 +73,9 @@ _DEFAULTS = {
 
 
 def _check_config_type(key: str, value) -> None:
+    if key not in _DEFAULTS:
+        known = ", ".join(sorted(_DEFAULTS))
+        raise UsageError(f"unknown config key {key!r}; known keys: {known}")
     problem = json_type_error(key, value, _DEFAULTS[key])
     if problem:
         raise UsageError(f"config key {key!r} {problem}")
@@ -87,9 +94,6 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
     for key, value in raw.items():
-        if key not in _DEFAULTS:
-            known = ", ".join(sorted(_DEFAULTS))
-            raise UsageError(f"unknown config key {key!r}; known keys: {known}")
         _check_config_type(key, value)
     return raw
 
@@ -277,12 +281,9 @@ def cmd_eval(args) -> int:
 
 
 def _train_eval_cell(payload: tuple) -> dict:
-    """One (strategy, seed) cell, isolated enough to run in a worker process."""
-    data_dir, cfg, strategy, seed = payload
-    cfg = dict(cfg)
-    cfg["model.strategy"] = strategy
-    cfg["train.seed"] = seed
-    model_cfg, train_cfg, frac = _build_configs(cfg)
+    """One (grid point, seed) cell, isolated enough to run in a worker process."""
+    data_dir, base_cfg, point, seed = payload
+    model_cfg, train_cfg, frac = _build_configs({**base_cfg, **point, "train.seed": seed})
     train_set, test_set = _load_split(data_dir, model_cfg.num_classes, frac)
     _check_dataset_fit(train_set, model_cfg)
     with ad.default_dtype_scope(np.float32):
@@ -293,8 +294,8 @@ def _train_eval_cell(payload: tuple) -> dict:
     split = test_set.split_evidence
     hits = grades[split] == test_set.grades[split]
     split_acc = float(hits.mean()) if hits.size else None
-    return {"strategy": strategy, "seed": seed, "kappa": m.kappa,
-            "accuracy": m.accuracy, "macro_auc": m.macro_auc, "split_acc": split_acc}
+    return {"seed": seed, "kappa": m.kappa, "accuracy": m.accuracy,
+            "macro_auc": m.macro_auc, "split_acc": split_acc}
 
 
 def _worker_count(n_cells: int) -> int:
@@ -314,14 +315,47 @@ def _run_cells(payloads: list) -> list:
         return pool.map(_train_eval_cell, payloads)
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _comma_list(flag: str, text: str, parse=str) -> list:
+    """The items of a comma-separated flag value, each read by `parse`.
+    A comma inside brackets stays in its item: "[8,16],[24]" is two items."""
+    items = [item.strip() for item in re.split(r",(?![^\[]*\])", text)]
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        values = [parse(item) for item in items if item]
     except ValueError:
-        raise UsageError(f"bad --seeds {text!r}; expected comma-separated integers") from None
-    if not seeds:
-        raise UsageError("--seeds is empty")
-    return seeds
+        raise UsageError(f"bad {flag} {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} is empty")
+    return values
+
+
+def _json_or_word(text: str):
+    """A JSON value, or a bare word such as aligned read as a string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def _grid_axes(specs: list) -> dict[str, list]:
+    """Key -> typed values for each KEY=V1,V2 spec, in flag order."""
+    axes = {}
+    for spec in specs:
+        key, sep, text = spec.partition("=")
+        if not sep:
+            raise UsageError(f"bad --vary {spec!r}; expected KEY=V1,V2")
+        if key == "train.seed":
+            raise UsageError("train.seed is the --seeds axis; it cannot be varied")
+        if key in axes:
+            raise UsageError(f"config key {key!r} is varied twice; --strategies "
+                             f"varies model.strategy")
+        values = _comma_list(f"--vary {key}", text, _json_or_word)
+        for v in values:
+            _check_config_type(key, v)
+        axes[key] = values
+    return axes
+
+
+_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
 
 
 def _mean(vals):
@@ -329,75 +363,42 @@ def _mean(vals):
     return float(np.mean(vals)) if vals else None
 
 
-_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
+def _print_table(rows: list) -> None:
+    """Rows as a table: the strategy, each varied key, then each metric,
+    --- where a metric is undefined."""
+    def text(v):
+        return v if isinstance(v, str) else json.dumps(v)
 
-
-def _mean_metrics(cells: list) -> dict:
-    """Seed-averaged metrics of a group of cells, None where none is defined."""
-    return {k: _mean(c[k] for c in cells) for k in _METRICS}
-
-
-def _print_rows(rows: list, key: str, align: str, fmt: str) -> None:
-    """A table of `rows`: the `key` column, then each metric, --- if undefined."""
-    print(f"{key:{align}}{'kappa':>10}{'acc':>10}{'macro-auc':>12}{'split-acc':>12}")
+    widths = {k: 2 + max(len(k), *(len(text(r[k])) for r in rows))
+              for k in rows[0] if k not in ("strategy", *_METRICS)}
+    keys = "".join(f"{k:>{w}}" for k, w in widths.items())
+    print(f"{'strategy':<16}{keys}{'kappa':>10}{'acc':>10}{'macro-auc':>12}{'split-acc':>12}")
     for r in rows:
+        vals = "".join(f"{text(r[k]):>{w}}" for k, w in widths.items())
         kappa, acc, auc, split = ("---" if r[k] is None else f"{r[k]:.4f}"
                                   for k in _METRICS)
-        print(f"{r[key]:{align}{fmt}}{kappa:>10}{acc:>10}{auc:>12}{split:>12}")
+        print(f"{r['strategy']:<16}{vals}{kappa:>10}{acc:>10}{auc:>12}{split:>12}")
 
 
 def cmd_compare(args) -> int:
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies:
-        raise UsageError("--strategies is empty")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise UsageError(f"unknown strategy {s!r}; valid: {', '.join(STRATEGIES)}")
-    seeds = _parse_seeds(args.seeds)
-    cfg = _merged_config(args)
+    seeds = _comma_list("--seeds", args.seeds, int)
+    base = _merged_config(args)
+    axes = _grid_axes(args.axes or [])
+    points = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+    for point, seed in itertools.product(points, seeds):  # all valid before any trains
+        _build_configs({**base, **point, "train.seed": seed})
+    labels = [{"strategy": p.get("model.strategy", base["model.strategy"]),
+               **{k: v for k, v in p.items() if k != "model.strategy"}} for p in points]
 
-    payloads = [(args.data, cfg, s, seed) for s in strategies for seed in seeds]
-    cells = _run_cells(payloads)
-
-    rows = []
-    for s in strategies:
-        own = [c for c in cells if c["strategy"] == s]
-        rows.append({"strategy": s, **_mean_metrics(own)})
+    n = len(seeds)
+    cells = _run_cells([(args.data, base, p, seed) for p in points for seed in seeds])
+    cells = [{**labels[i // n], **c} for i, c in enumerate(cells)]
+    rows = [{**label, **{k: _mean(c[k] for c in cells[i * n:(i + 1) * n]) for k in _METRICS}}
+            for i, label in enumerate(labels)]
     table = {"seeds": seeds, "rows": rows, "cells": cells}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
-    _print_rows(rows, "strategy", "<16", "")
-    _emit({"report": args.report, "rows": rows})
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def cmd_sweep(args) -> int:
-    try:
-        thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
-    except ValueError:
-        raise UsageError(f"bad --thresholds {args.thresholds!r}") from None
-    if not thresholds:
-        raise UsageError("--thresholds is empty")
-    for p in thresholds:
-        if not (0.0 <= p <= 1.0):
-            raise UsageError(f"threshold {p} outside [0,1]")
-    seeds = _parse_seeds(args.seeds)
-    base = _merged_config(args)
-
-    rows = []
-    for p in thresholds:
-        cfg = dict(base)
-        cfg["cfa.threshold"] = p
-        cells = _run_cells([(args.data, cfg, cfg["model.strategy"], s) for s in seeds])
-        rows.append({"threshold": p, **_mean_metrics(cells)})
-    table = {"seeds": seeds, "strategy": base["model.strategy"], "rows": rows}
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(_g6(table), fh, indent=1)
-    _print_rows(rows, "threshold", ">10", ".4g")
+    _print_table(rows)
     _emit({"report": args.report, "rows": rows})
     return 0
 
@@ -487,9 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--size", type=int, default=64)
-    g.add_argument("--split-evidence-rate", type=float, default=0.3)
-    g.add_argument("--artifact-rate", type=float, default=0.25)
+    gen = sd.GenConfig()
+    g.add_argument("--size", type=int, default=gen.size)
+    g.add_argument("--split-evidence-rate", type=float, default=gen.split_rate)
+    g.add_argument("--artifact-rate", type=float, default=gen.artifact_rate)
     g.add_argument("--force", action="store_true")
     g.set_defaults(fn=cmd_gen_data)
 
@@ -510,26 +512,22 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--report", required=True)
     e.add_argument("--subset", choices=["all", "train", "test"], default="all")
-    e.add_argument("--train-frac", type=float, default=0.8)
+    e.add_argument("--train-frac", type=float, default=_DEFAULTS["data.train_frac"])
     e.set_defaults(fn=cmd_eval)
 
-    c = sub.add_parser("compare", help="train and rank fusion strategies")
+    c = sub.add_parser("compare", help="train and evaluate a grid of configs, per seed")
     c.add_argument("--data", required=True)
-    c.add_argument("--strategies", required=True)
-    c.add_argument("--seeds", default="1,2,3")
+    c.add_argument("--strategies", dest="axes", action="append", metavar="S1,S2",
+                   type="model.strategy={}".format,
+                   help="the model.strategy axis (default: the config's strategy)")
+    c.add_argument("--vary", dest="axes", action="append", metavar="KEY=V1,V2",
+                   help="an axis over any other config key; each value is JSON "
+                        "or a bare word; repeatable, the grid is their product")
+    c.add_argument("--seeds", default="1,2,3", help="the seed axis")
     c.add_argument("--report", required=True)
     c.add_argument("--config")
     c.add_argument("--epochs", type=int)
     c.set_defaults(fn=cmd_compare)
-
-    w = sub.add_parser("sweep", help="train across mask thresholds")
-    w.add_argument("--data", required=True)
-    w.add_argument("--report", required=True)
-    w.add_argument("--thresholds", default="0.02,0.04,0.06,0.08,0.10")
-    w.add_argument("--seeds", default="1")
-    w.add_argument("--config")
-    w.add_argument("--epochs", type=int)
-    w.set_defaults(fn=cmd_sweep)
 
     i = sub.add_parser("inspect", help="dump masks, grids, attention for one eye")
     i.add_argument("--ckpt", required=True)

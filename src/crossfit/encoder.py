@@ -22,6 +22,9 @@ __all__ = ["EncoderConfig", "Encoder"]
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The shared CNN. Every CLI command takes its values from `cli._DEFAULTS`;
+    the defaults here serve library callers and tests only."""
+
     stage_channels: tuple[int, ...] = (16, 32, 48, 64)
     stride: int | tuple[int, ...] = 2
     kernel: int | tuple[int, ...] = 3

@@ -43,6 +43,9 @@ class NonFiniteOutputError(FloatingPointError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD hyperparameters. Every CLI command takes its values from
+    `cli._DEFAULTS`; the defaults here serve library callers and tests only."""
+
     lr: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 1e-5
@@ -251,12 +254,16 @@ def _flip_horizontal(imgs1, imgs2, od1, od2, which: np.ndarray) -> None:
     od2[which, 0] = 1.0 - od2[which, 0]
 
 
+# a blow-up ends in TrainingDiverged, so numpy's overflow warnings are not printed
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
     """Epochs of shuffled minibatch SGD; returns (checkpoint, per-epoch losses).
 
     Fully determined by cfg.seed: shuffling and flip augmentation draw from
     one dedicated stream, and nothing else is stochastic. `on_epoch`, when
     given, is called as on_epoch(epoch_index, mean_loss) after every epoch.
+    Raises TrainingDiverged on a non-finite loss, or when the last step
+    leaves a parameter non-finite.
     """
     rng = ad.make_rng(cfg.seed)
     params = model.named_parameters()
@@ -302,6 +309,10 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
         history.append(epoch_loss / max(batches, 1))
         if on_epoch is not None:
             on_epoch(epoch, history[-1])
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise TrainingDiverged(f"parameter {name} holds NaN or inf after the "
+                                   f"last step (epoch {cfg.epochs - 1} step {step - 1})")
     ckpt = Checkpoint.from_model(model, train_cfg=cfg, velocities=velocities, step=step)
     return ckpt, history
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from crossfit import autodiff as ad
 from crossfit import synthdata as sd
 from crossfit.attention import export_attention_record
+from crossfit import cli
 from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
 from crossfit.model import CrossFiTModel
 from crossfit.train_eval import build_model_from_checkpoint, load_checkpoint
@@ -221,6 +222,19 @@ class TestTrain:
                        "--out", out, "--epochs", "1") == 0
         with open(out + ".log.json", encoding="utf-8") as fh:
             assert len(json.load(fh)["epochs"]) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_prints_one_line(self, data_dir, tmp_path, capsys):
+        """numpy's overflow warnings stay silent; the divergence is the message."""
+        cfg_path = str(tmp_path / "c.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump({"train.lr": 1e9, "train.epochs": 2}, fh)
+        out = tmp_path / "m.bin"
+        assert run_cli("train", "--data", data_dir, "--config", cfg_path,
+                       "--strategy", "feat_max", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_identical_seeds_identical_loss_curves(self, data_dir, tiny_config, tmp_path):
         logs = []
@@ -439,17 +453,20 @@ class TestCompare:
                        "--report", str(tmp_path / "x.json")) == 2
 
 
-class TestSweep:
-    def test_default_grid_covers_table(self, data_dir, tiny_config, tmp_path):
-        report = str(tmp_path / "sweep.json")
-        code = run_cli("sweep", "--data", data_dir, "--config", tiny_config,
+class TestCompareGrid:
+    """`compare --vary KEY=V1,V2`: one cell per grid point and seed."""
+
+    def test_threshold_grid_covers_table(self, data_dir, tiny_config, tmp_path):
+        report = str(tmp_path / "grid.json")
+        code = run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--vary", "cfa.threshold=0.02,0.04,0.06,0.08,0.10",
                        "--seeds", "1", "--report", report)
         assert code == 0
         with open(report, encoding="utf-8") as fh:
             table = json.load(fh)
-        assert [r["threshold"] for r in table["rows"]] == [0.02, 0.04, 0.06, 0.08, 0.10]
+        assert [r["cfa.threshold"] for r in table["rows"]] == [0.02, 0.04, 0.06, 0.08, 0.10]
         for row in table["rows"]:
-            assert np.isfinite(row["kappa"])
+            assert row["strategy"] == "crossfit" and np.isfinite(row["kappa"])
 
     def test_undefined_metric_prints_dashes(self, tmp_path, capsys):
         # one test eye: every class AUC, so the macro mean, is undefined
@@ -459,15 +476,92 @@ class TestSweep:
         with open(cfg_path, "w", encoding="utf-8") as fh:
             json.dump({"cfa.layers": 1, "train.epochs": 1}, fh)
         capsys.readouterr()
-        assert run_cli("sweep", "--data", path, "--config", cfg_path,
-                       "--thresholds", "0.06", "--report", str(tmp_path / "s.json")) == 0
+        assert run_cli("compare", "--data", path, "--config", cfg_path, "--seeds", "1",
+                       "--vary", "cfa.threshold=0.06",
+                       "--report", str(tmp_path / "s.json")) == 0
         header, row = capsys.readouterr().out.splitlines()[:2]
-        assert header.split() == ["threshold", "kappa", "acc", "macro-auc", "split-acc"]
-        assert row.split()[0] == "0.06" and row.split()[3] == "---"
+        assert header.split() == ["strategy", "cfa.threshold", "kappa", "acc",
+                                  "macro-auc", "split-acc"]
+        assert row.split()[:2] == ["crossfit", "0.06"] and row.split()[4] == "---"
 
-    def test_bad_threshold_grid(self, data_dir, tmp_path):
-        assert run_cli("sweep", "--data", data_dir, "--thresholds", "0.2,1.4",
-                       "--report", str(tmp_path / "x.json")) == 2
+    @staticmethod
+    def _refused(monkeypatch, capsys, tmp_path, *argv) -> str:
+        """Run a compare that must exit 2 before any cell trains; its stderr."""
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("a cell trained")
+        monkeypatch.setenv("CROSSFIT_THREADS", "1")
+        monkeypatch.setattr("crossfit.cli.train", no_training)
+        report = tmp_path / "x.json"
+        assert run_cli("compare", *argv, "--seeds", "1", "--report", str(report)) == 2
+        assert not report.exists()
+        return capsys.readouterr().err
+
+    def test_bad_threshold_grid(self, data_dir, tiny_config, tmp_path, monkeypatch, capsys):
+        # the first point is valid; the second is refused before it trains
+        err = self._refused(monkeypatch, capsys, tmp_path, "--data", data_dir,
+                            "--config", tiny_config, "--vary", "cfa.threshold=0.2,1.4")
+        assert "mask threshold 1.4 outside [0,1]" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--vary", "cfa.layer_count=1,2"], "unknown config key 'cfa.layer_count'"),
+        (["--vary", "cfa.layers=2,1.5"], "config key 'cfa.layers' must be an integer"),
+        (["--vary", "model.mask=true,off"], "config key 'model.mask' must be true or false"),
+        (["--vary", "cfa.heads=2,3"], "must divide by heads (3)"),
+        (["--vary", "cfa.layers"], "expected KEY=V1,V2"),
+        (["--vary", "cfa.layers=,"], "--vary cfa.layers is empty"),
+        (["--vary", "train.seed=1,2"], "train.seed is the --seeds axis"),
+        (["--strategies", "crossfit", "--vary", "model.strategy=feat_max"],
+         "'model.strategy' is varied twice"),
+        (["--vary", "cfa.layers=1", "--vary", "cfa.layers=2"], "'cfa.layers' is varied twice"),
+    ], ids=["unknown-key", "mistyped-int", "mistyped-bool", "inconsistent-point", "no-values",
+            "empty-values", "seed-axis", "strategy-twice", "key-twice"])
+    def test_refused_grid_trains_nothing(self, data_dir, tiny_config, tmp_path,
+                                         monkeypatch, capsys, argv, message):
+        err = self._refused(monkeypatch, capsys, tmp_path, "--data", data_dir,
+                            "--config", tiny_config, *argv)
+        assert message in err and err.count("\n") == 1
+
+    def test_two_key_product(self, data_dir, tiny_config, tmp_path, capsys):
+        report = str(tmp_path / "grid.json")
+        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--vary", "model.pe_mode=aligned,none",
+                       "--vary", "model.mask=true,false",
+                       "--seeds", "1,2", "--report", report) == 0
+        with open(report, encoding="utf-8") as fh:
+            table = json.load(fh)
+        points = [("aligned", True), ("aligned", False), ("none", True), ("none", False)]
+        assert [(r["model.pe_mode"], r["model.mask"]) for r in table["rows"]] == points
+        assert [list(r)[:3] for r in table["rows"]] == [
+            ["strategy", "model.pe_mode", "model.mask"]] * 4
+        cells = table["cells"]
+        assert [(c["model.pe_mode"], c["model.mask"], c["seed"]) for c in cells] == [
+            (*p, seed) for p in points for seed in (1, 2)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:3] == ["strategy", "model.pe_mode", "model.mask"]
+        assert [l.split()[:3] for l in lines[1:5]] == [
+            ["crossfit", pe, json.dumps(mask)] for pe, mask in points]
+
+    def test_axes_multiply_in_flag_order(self, data_dir, tiny_config, tmp_path):
+        report = str(tmp_path / "grid.json")
+        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--vary", "model.mask=true,false",
+                       "--strategies", "feat_max,crossfit",
+                       "--seeds", "1", "--report", report) == 0
+        with open(report, encoding="utf-8") as fh:
+            rows = json.load(fh)["rows"]
+        assert [(r["strategy"], r["model.mask"]) for r in rows] == [
+            ("feat_max", True), ("crossfit", True), ("feat_max", False), ("crossfit", False)]
+        assert [list(r)[:2] for r in rows] == [["strategy", "model.mask"]] * 4
+
+    def test_values_split_outside_brackets(self):
+        values = cli._comma_list("--vary", "[8,16],[24], aligned ,1e-3,true",
+                                 cli._json_or_word)
+        assert values == [[8, 16], [24], "aligned", 0.001, True]
+
+    def test_sweep_is_gone(self, data_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--data", data_dir, "--report", str(tmp_path / "x.json"))
+        assert exc.value.code == 2
 
 
 class TestInspect:
@@ -627,3 +721,31 @@ class TestConfigDefaults:
         assert model_cfg.cfa.d_t % 4 == 0
         assert 0 < frac < 1
         assert train_cfg.lr > 0
+
+    # a second valid value for every key; a key missing here fails the test
+    _SECOND_VALUES = {
+        "encoder.stage_channels": [96], "encoder.stride": 8, "encoder.kernel": 13,
+        "encoder.input_size": 128, "cfa.layers": 2, "cfa.heads": 8, "cfa.d_t": 32,
+        "cfa.mlp_ratio": 2, "cfa.threshold": 0.1, "cfa.zero_init_out": False,
+        "model.strategy": "feat_max", "model.pe_mode": "none", "model.mask": False,
+        "model.num_classes": 3, "train.lr": 0.1, "train.momentum": 0.5,
+        "train.weight_decay": 0.0, "train.batch_size": 8, "train.epochs": 2,
+        "train.seed": 1, "train.hflip": False, "data.train_frac": 0.5,
+    }
+
+    def test_every_key_changes_the_built_configs(self):
+        """A grid over a key that nothing reads would print identical rows."""
+        assert set(self._SECOND_VALUES) == set(_DEFAULTS)
+        default = _build_configs(dict(_DEFAULTS))
+        for key, value in self._SECOND_VALUES.items():
+            assert value != _DEFAULTS[key], key
+            cli._check_config_type(key, value)
+            assert _build_configs({**_DEFAULTS, key: value}) != default, key
+
+
+def test_docstring_lists_every_subcommand():
+    line, = [l for l in cli.__doc__.splitlines() if l.startswith("Subcommands:")]
+    listed = [name.strip() for name in line.split(":")[1].strip(" .").split(",")]
+    parser = cli._build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)

@@ -324,6 +324,19 @@ def test_train_divergence_aborts():
     assert len(ad.active_tape()) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_refuses_parameters_left_non_finite():
+    """The one step's loss is finite, but its update overflows float32: the
+    parameters are checked after the last step, and no warning is printed."""
+    with ad.default_dtype_scope(np.float32):
+        model = micro_model(10)
+        cfg = TrainConfig(lr=1e39, momentum=0.0, weight_decay=0.0,
+                          batch_size=8, epochs=1, seed=3, hflip=False)
+        with pytest.raises(TrainingDiverged,
+                           match=r"holds NaN or inf after the last step \(epoch 0 step 0\)"):
+            train(model, tiny_dataset(11), cfg)
+
+
 def test_train_encoder_overflow_diverges():
     """Non-finite encoder features give a non-finite loss, not a mask with
     no set bit: training stops with TrainingDiverged and an empty tape."""
