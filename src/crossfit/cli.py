@@ -27,14 +27,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import synthdata as sd
-from .attention import CfaConfig, export_attention_record
+from .attention import export_attention_record
 from .autodiff import ContractError
-from .encoder import EncoderConfig
 from .geometry import field1_grid, regular_coords
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
-                         TrainingDiverged, build_model_from_checkpoint, evaluate,
-                         finite_outputs, json_type_error, load_checkpoint,
+                         TrainingDiverged, build_model_from_checkpoint,
+                         config_from_dict, evaluate, finite_outputs,
+                         json_type_error, load_checkpoint,
                          metrics_from_predictions, predict_dataset, save_checkpoint,
                          train)
 
@@ -98,50 +98,38 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+# each flag that sets a config key, by its argparse name
+_FLAG_KEYS = {"strategy": "model.strategy", "pe_mode": "model.pe_mode",
+              "mask": "model.mask", "threshold": "cfa.threshold",
+              "epochs": "train.epochs", "seed": "train.seed"}
+
+
 def _merged_config(args) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(_load_config_file(getattr(args, "config", None)))
-    if getattr(args, "strategy", None) is not None:
-        cfg["model.strategy"] = args.strategy
-    if getattr(args, "pe_mode", None) is not None:
-        cfg["model.pe_mode"] = args.pe_mode
-    if getattr(args, "mask", None) is not None:
-        cfg["model.mask"] = args.mask == "on"
-    if getattr(args, "threshold", None) is not None:
-        cfg["cfa.threshold"] = args.threshold
-    if getattr(args, "epochs", None) is not None:
-        cfg["train.epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        cfg["train.seed"] = args.seed
+    for name, key in _FLAG_KEYS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            cfg[key] = value == "on" if name == "mask" else value
     return cfg
 
 
 def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
     """Dotted-key dict -> validated config objects.
 
-    Consistency rules (width divisible by heads and by 4, threshold range,
-    stride arithmetic) are all enforced here, before any data is touched."""
+    A key names its config section and field; `model.mask` sets the field
+    `mask_enabled`. Consistency rules (width divisible by heads and by 4,
+    threshold range, stride arithmetic) are all enforced here, before any
+    data is touched."""
+    model = {"encoder": {}, "cfa": {}}
+    sections = {"encoder": model["encoder"], "cfa": model["cfa"], "model": model,
+                "train": {}, "data": {}}
+    for key, value in cfg.items():
+        section, name = key.split(".")
+        sections[section]["mask_enabled" if key == "model.mask" else name] = value
     try:
-        model_cfg = CrossFiTConfig(
-            encoder=EncoderConfig(
-                stage_channels=tuple(cfg["encoder.stage_channels"]),
-                stride=cfg["encoder.stride"],
-                kernel=cfg["encoder.kernel"],
-                input_size=cfg["encoder.input_size"]),
-            cfa=CfaConfig(
-                layers=cfg["cfa.layers"], heads=cfg["cfa.heads"],
-                d_t=cfg["cfa.d_t"], mlp_ratio=cfg["cfa.mlp_ratio"],
-                threshold=cfg["cfa.threshold"],
-                zero_init_out=cfg["cfa.zero_init_out"]),
-            strategy=cfg["model.strategy"],
-            pe_mode=cfg["model.pe_mode"],
-            mask_enabled=cfg["model.mask"],
-            num_classes=cfg["model.num_classes"])
-        train_cfg = TrainConfig(
-            lr=cfg["train.lr"], momentum=cfg["train.momentum"],
-            weight_decay=cfg["train.weight_decay"],
-            batch_size=cfg["train.batch_size"], epochs=cfg["train.epochs"],
-            seed=cfg["train.seed"], hflip=cfg["train.hflip"])
+        model_cfg = config_from_dict(CrossFiTConfig, model)
+        train_cfg = config_from_dict(TrainConfig, sections["train"])
     except ContractError as err:
         raise UsageError(f"inconsistent configuration: {err}") from None
     frac = cfg["data.train_frac"]

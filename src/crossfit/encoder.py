@@ -23,7 +23,9 @@ __all__ = ["EncoderConfig", "Encoder"]
 @dataclass(frozen=True)
 class EncoderConfig:
     """The shared CNN. Every CLI command takes its values from `cli._DEFAULTS`;
-    the defaults here serve library callers and tests only."""
+    the defaults here serve library callers and tests only. `stride` and
+    `kernel` take one int for every stage or one per stage, and are stored
+    per stage."""
 
     stage_channels: tuple[int, ...] = (16, 32, 48, 64)
     stride: int | tuple[int, ...] = 2
@@ -35,7 +37,14 @@ class EncoderConfig:
             raise ContractError("encoder needs at least one stage")
         if min(self.stage_channels) < 1:
             raise ContractError(f"every stage needs a channel, got {self.stage_channels}")
-        for st, k, pad in zip(self.strides, self.kernels, self.pads):
+        n = len(self.stage_channels)
+        for name in ("stride", "kernel"):  # one int stands for every stage
+            v = getattr(self, name)
+            v = (v,) * n if isinstance(v, int) else tuple(v)
+            if len(v) != n:
+                raise ContractError(f"per-stage {name} {v} does not match {n} stages")
+            object.__setattr__(self, name, v)
+        for st, k, pad in zip(self.stride, self.kernel, self.pads):
             if st < 1 or k < 1:
                 raise ContractError(f"bad stride/kernel: {st}/{k}")
             # the rule lives with the op; checking it here fails a bad config
@@ -47,30 +56,14 @@ class EncoderConfig:
             raise ContractError(
                 f"input size {self.input_size} not divisible by total stride {self.total_stride}")
 
-    def _per_stage(self, v) -> tuple[int, ...]:
-        n = len(self.stage_channels)
-        if isinstance(v, int):
-            return (v,) * n
-        if len(v) != n:
-            raise ContractError(f"per-stage value {v} does not match {n} stages")
-        return tuple(v)
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return self._per_stage(self.stride)
-
-    @property
-    def kernels(self) -> tuple[int, ...]:
-        return self._per_stage(self.kernel)
-
     @property
     def pads(self) -> tuple[int, ...]:
         """Per-stage padding: none for a patch tiling (kernel == stride), else k // 2."""
-        return tuple(0 if k == st else k // 2 for st, k in zip(self.strides, self.kernels))
+        return tuple(0 if k == st else k // 2 for st, k in zip(self.stride, self.kernel))
 
     @property
     def total_stride(self) -> int:
-        return math.prod(self.strides)
+        return math.prod(self.stride)
 
     @property
     def feature_side(self) -> int:
@@ -89,7 +82,7 @@ class Encoder:
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         c_in = 3
-        for c_out, k in zip(cfg.stage_channels, cfg.kernels):
+        for c_out, k in zip(cfg.stage_channels, cfg.kernel):
             fan_in, fan_out = c_in * k * k, c_out * k * k
             w = ad.xavier_uniform(rng, (c_out, c_in, k, k), fan_in, fan_out)
             self.weights.append(ad.parameter(w))
@@ -114,7 +107,7 @@ class Encoder:
         # first-layer gradient row point the same way and stalls early SGD
         h = ad.add(x, Tensor(np.asarray(-0.5, dtype=ad.default_dtype())))
         for w, b, st, pad in zip(self.weights, self.biases,
-                                 self.cfg.strides, self.cfg.pads):
+                                 self.cfg.stride, self.cfg.pads):
             h = ad.conv2d(h, w, stride=st, pad=pad)
             bias = ad.reshape(b, (-1, 1, 1))
             h = ad.relu(ad.add(h, bias))

@@ -7,22 +7,20 @@ import math
 import struct
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DegenerateRowError, ShapeError, Tensor
-from .attention import CfaConfig
-from .encoder import EncoderConfig
 from .model import CrossFiTConfig, CrossFiTModel
 
 __all__ = [
     "TrainConfig", "TrainingDiverged", "CheckpointError", "NonFiniteOutputError",
     "MetricsReport", "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
     "finite_outputs", "predict_dataset", "evaluate", "train", "Checkpoint",
-    "save_checkpoint", "load_checkpoint", "json_type_error", "model_config_to_dict",
-    "model_config_from_dict", "build_model_from_checkpoint",
+    "save_checkpoint", "load_checkpoint", "json_type_error", "config_from_dict",
+    "model_config_to_dict", "model_config_from_dict", "build_model_from_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"CFIT"
@@ -322,24 +320,8 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
 
 
 def model_config_to_dict(cfg: CrossFiTConfig) -> dict:
-    return {
-        "encoder": {"stage_channels": list(cfg.encoder.stage_channels),
-                    "stride": list(cfg.encoder.strides),
-                    "kernel": list(cfg.encoder.kernels),
-                    "input_size": cfg.encoder.input_size},
-        "cfa": {"layers": cfg.cfa.layers, "heads": cfg.cfa.heads,
-                "d_t": cfg.cfa.d_t, "mlp_ratio": cfg.cfa.mlp_ratio,
-                "threshold": cfg.cfa.threshold,
-                "zero_init_out": cfg.cfa.zero_init_out},
-        "strategy": cfg.strategy,
-        "pe_mode": cfg.pe_mode,
-        "mask_enabled": cfg.mask_enabled,
-        "num_classes": cfg.num_classes,
-    }
-
-
-def _int_or_tuple(v) -> int | tuple[int, ...]:
-    return v if isinstance(v, int) else tuple(v)
+    """The header's form of `cfg`: its fields, nested configs as dicts."""
+    return asdict(cfg)
 
 
 def _json_type(v) -> str:
@@ -352,7 +334,7 @@ def _json_type(v) -> str:
         return "a number"
     if isinstance(v, str):
         return "a string"
-    if isinstance(v, list) and all(_json_type(x) == "an integer" for x in v):
+    if isinstance(v, (list, tuple)) and all(_json_type(x) == "an integer" for x in v):
         return "a list of integers"
     return type(v).__name__
 
@@ -364,9 +346,9 @@ _PER_STAGE_KEYS = ("encoder.stride", "encoder.kernel")
 def json_type_error(key: str, value, default) -> str | None:
     """None when config key `key` may take `value`, else what is wrong.
 
-    A key takes its default's JSON type: an integer key refuses 1.5, 2.0 and
-    true, a boolean key refuses "no"; a number key takes integers, and a
-    per-stage key an integer or a list of integers.
+    A key takes its default's JSON type, a tuple read as a list: an integer
+    key refuses 1.5, 2.0 and true, a boolean key refuses "no"; a number key
+    takes integers, and a per-stage key an integer or a list of integers.
     """
     allowed = {_json_type(default)}
     if "a number" in allowed:
@@ -378,41 +360,46 @@ def json_type_error(key: str, value, default) -> str | None:
     return f"must be {' or '.join(sorted(allowed))}, got {json.dumps(value)}"
 
 
-def _check_model_config_types(d: dict) -> None:
-    """Each value present must have the JSON type `model_config_to_dict`
-    writes for it; a missing key is left to fail where it is read."""
-    template = model_config_to_dict(CrossFiTConfig())
-    for section in ("", "encoder", "cfa"):
-        got, want = (d[section], template[section]) if section else (d, template)
-        if not isinstance(got, dict):
-            continue
-        for key, default in want.items():
-            if key not in got or isinstance(default, dict):
-                continue
-            name = f"{section}.{key}" if section else key
-            problem = json_type_error(name, got[key], default)
+# fields that headers written before the field existed lack, and the value
+# such a header means
+_ABSENT_MEANS = {"cfa.zero_init_out": False}
+
+
+def config_from_dict(cls, d, prefix: str = ""):
+    """The config dataclass `cls` with the values of `d`, one per field;
+    a nested config is a nested dict, a tuple a list.
+
+    Raises ContractError for a missing field or a value of another JSON type
+    than the field's default, naming it by its dotted path, and for values
+    the config itself refuses. Keys that are not fields are ignored, so
+    headers carrying since-removed fields still load.
+    """
+    if not isinstance(d, dict):
+        raise ContractError(f"{prefix.rstrip('.') or 'config'} must be an object, "
+                            f"got {json.dumps(d)}")
+    values = {}
+    for f in fields(cls):
+        name = prefix + f.name
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if f.name not in d:
+            if name not in _ABSENT_MEANS:
+                raise ContractError(f"{name} is missing")
+            values[f.name] = _ABSENT_MEANS[name]
+        elif is_dataclass(default):
+            values[f.name] = config_from_dict(type(default), d[f.name], name + ".")
+        else:
+            value = d[f.name]
+            problem = json_type_error(name, value, default)
             if problem:
-                raise CheckpointError(
-                    f"checkpoint holds no valid model config: {name} {problem}")
+                raise ContractError(f"{name} {problem}")
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)
 
 
 def model_config_from_dict(d: dict) -> CrossFiTConfig:
-    """Inverse of `model_config_to_dict`; raises CheckpointError for a value of
-    the wrong JSON type. Keys it does not read are ignored, so checkpoints
-    carrying since-removed config fields still load."""
-    _check_model_config_types(d)
-    enc = d["encoder"]
-    cfa = d["cfa"]
-    return CrossFiTConfig(
-        encoder=EncoderConfig(stage_channels=tuple(enc["stage_channels"]),
-                              stride=_int_or_tuple(enc["stride"]),
-                              kernel=_int_or_tuple(enc["kernel"]),
-                              input_size=enc["input_size"]),
-        cfa=CfaConfig(layers=cfa["layers"], heads=cfa["heads"], d_t=cfa["d_t"],
-                      mlp_ratio=cfa["mlp_ratio"], threshold=cfa["threshold"],
-                      zero_init_out=cfa.get("zero_init_out", False)),
-        strategy=d["strategy"], pe_mode=d["pe_mode"],
-        mask_enabled=d["mask_enabled"], num_classes=d["num_classes"])
+    """Inverse of `model_config_to_dict`; raises ContractError as
+    `config_from_dict` does."""
+    return config_from_dict(CrossFiTConfig, d)
 
 
 @dataclass
@@ -434,11 +421,7 @@ class Checkpoint:
                 tensors[f"vel/{name}"] = v.astype(np.float32)
         config = {"model": model_config_to_dict(model.cfg)}
         if train_cfg is not None:
-            config["train"] = {"lr": train_cfg.lr, "momentum": train_cfg.momentum,
-                               "weight_decay": train_cfg.weight_decay,
-                               "batch_size": train_cfg.batch_size,
-                               "epochs": train_cfg.epochs, "seed": train_cfg.seed,
-                               "hflip": train_cfg.hflip}
+            config["train"] = asdict(train_cfg)
         return cls(config, tensors, step)
 
     def restore(self, model: CrossFiTModel) -> None:
@@ -463,11 +446,13 @@ class Checkpoint:
 def build_model_from_checkpoint(ckpt: Checkpoint,
                                 rng: np.random.Generator | None = None) -> CrossFiTModel:
     try:
-        cfg = model_config_from_dict(ckpt.config["model"])
-        # a mistyped value (num_classes 5.5) may fail only when layers are sized
-        model = CrossFiTModel(rng or ad.make_rng(0), cfg)
-    except (KeyError, TypeError, ContractError) as err:
-        raise CheckpointError(f"checkpoint holds no valid model config ({err!r})") from None
+        stored = ckpt.config["model"]
+    except (KeyError, TypeError):
+        raise CheckpointError("checkpoint holds no model config") from None
+    try:
+        model = CrossFiTModel(rng or ad.make_rng(0), model_config_from_dict(stored))
+    except ContractError as err:
+        raise CheckpointError(f"checkpoint holds no valid model config: {err}") from None
     ckpt.restore(model)
     return model
 

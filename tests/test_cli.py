@@ -1,6 +1,7 @@
 """End-to-end command tests: every subcommand through main(), no subprocesses."""
 
 import argparse
+import dataclasses
 import json
 import os
 import struct
@@ -15,7 +16,8 @@ from crossfit import synthdata as sd
 from crossfit.attention import export_attention_record
 from crossfit import cli
 from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
-from crossfit.model import CrossFiTModel
+from crossfit.model import CrossFiTConfig, CrossFiTModel
+from crossfit.train_eval import TrainConfig
 from crossfit.train_eval import build_model_from_checkpoint, load_checkpoint
 
 
@@ -162,7 +164,7 @@ class TestTrain:
                        "cfa.threshold": 0, "model.mask": False}, fh)
         cfg = _merged_config(argparse.Namespace(config=cfg_path))
         model_cfg, train_cfg, _ = _build_configs(cfg)
-        assert model_cfg.encoder.strides == (16,) and model_cfg.cfa.threshold == 0
+        assert model_cfg.encoder.stride == (16,) and model_cfg.cfa.threshold == 0
         assert train_cfg.lr == 1 and model_cfg.mask_enabled is False
 
     @pytest.mark.parametrize("case, message", [
@@ -741,6 +743,31 @@ class TestConfigDefaults:
             assert value != _DEFAULTS[key], key
             cli._check_config_type(key, value)
             assert _build_configs({**_DEFAULTS, key: value}) != default, key
+
+
+    def test_each_config_field_has_one_key(self, monkeypatch):
+        """Each field of the model and train configs is set by exactly one
+        `_DEFAULTS` key, and each key outside `data.` sets one field; so a new
+        field needs only its dataclass field and its key."""
+        seen = {}
+
+        def capture(cls, d):
+            seen[cls] = d
+            return config_from_dict(cls, d)
+
+        config_from_dict = cli.config_from_dict
+        monkeypatch.setattr(cli, "config_from_dict", capture)
+        _build_configs(dict(_DEFAULTS))
+
+        def leaves(cls, d):
+            assert set(d) == {f.name for f in dataclasses.fields(cls)}, cls
+            nested = {f.name: type(getattr(cls(), f.name)) for f in dataclasses.fields(cls)}
+            return sum(leaves(nested[k], v) if dataclasses.is_dataclass(nested[k]) else 1
+                       for k, v in d.items())
+
+        assert set(seen) == {CrossFiTConfig, TrainConfig}
+        n_fields = sum(leaves(cls, d) for cls, d in seen.items())
+        assert n_fields == len([k for k in _DEFAULTS if not k.startswith("data.")])
 
 
 def test_docstring_lists_every_subcommand():

@@ -14,7 +14,7 @@ import crossfit.autodiff as ad
 from crossfit.autodiff import ContractError, DegenerateRowError, Tensor, make_rng, parameter
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
-from crossfit.model import CrossFiTConfig, CrossFiTModel
+from crossfit.model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
     NonFiniteOutputError, build_model_from_checkpoint, evaluate, load_checkpoint,
@@ -495,7 +495,7 @@ def test_checkpoint_config_value_of_wrong_json_type_rejected(section, key, value
     stored = model_config_to_dict(micro_model(27).cfg)
     (stored[section] if section else stored)[key] = value
     name = f"{section}.{key}" if section else key
-    with pytest.raises(CheckpointError, match=f"no valid model config: {name} must be"):
+    with pytest.raises(ContractError, match=f"^{name} must be"):
         model_config_from_dict(stored)
 
 
@@ -505,13 +505,61 @@ def test_checkpoint_config_takes_an_integer_where_a_number_or_stages_go():
     stored["cfa"]["threshold"] = 0
     stored["encoder"]["stride"] = 2
     got = model_config_from_dict(stored)
-    assert got.cfa.threshold == 0 and got.encoder.strides == cfg.encoder.strides
+    assert got.cfa.threshold == 0 and got.encoder.stride == cfg.encoder.stride
 
 
 def test_checkpoint_config_ignores_unread_keys():
     cfg = micro_model(24).cfg
     stored = dict(model_config_to_dict(cfg), grid_size=None)   # an older header's field
     assert model_config_to_dict(model_config_from_dict(stored)) == model_config_to_dict(cfg)
+
+
+@st.composite
+def _valid_model_configs(draw):
+    stages = draw(st.integers(1, 3))
+    # per stage: an odd kernel with any stride, or an even one tiling patches
+    geometry = draw(st.lists(st.one_of(
+        st.tuples(st.integers(1, 3), st.sampled_from([1, 3, 5])),
+        st.integers(1, 2).map(lambda s: (2 * s, 2 * s))), min_size=stages, max_size=stages))
+    stride, kernel = (tuple(v) for v in zip(*geometry))
+    if len(set(stride)) == 1 and draw(st.booleans()):
+        stride = stride[0]                      # one int for every stage
+    if len(set(kernel)) == 1 and draw(st.booleans()):
+        kernel = kernel[0]
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    return CrossFiTConfig(
+        encoder=EncoderConfig(
+            stage_channels=tuple(draw(st.lists(st.integers(1, 8), min_size=stages,
+                                               max_size=stages))),
+            stride=stride, kernel=kernel,
+            input_size=math.prod(s for s, _ in geometry) * draw(st.integers(1, 3))),
+        cfa=CfaConfig(layers=draw(st.integers(0, 3)), heads=heads,
+                      d_t=math.lcm(heads, 4) * draw(st.integers(1, 3)),
+                      mlp_ratio=draw(st.integers(1, 4)),
+                      threshold=draw(st.floats(0.0, 1.0)),
+                      zero_init_out=draw(st.booleans())),
+        strategy=draw(st.sampled_from(STRATEGIES)), pe_mode=draw(st.sampled_from(PE_MODES)),
+        mask_enabled=draw(st.booleans()), num_classes=draw(st.integers(2, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_model_configs())
+def test_checkpoint_config_round_trips(cfg):
+    stored = model_config_to_dict(cfg)
+    assert model_config_from_dict(stored) == cfg
+    assert model_config_from_dict(json.loads(json.dumps(stored))) == cfg
+
+
+def test_checkpoint_config_without_zero_init_out_reads_false():
+    """Headers written before `cfa.zero_init_out` existed lack it; any other
+    missing field is an error."""
+    cfa = CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, zero_init_out=True)
+    stored = model_config_to_dict(micro_model(29, cfa=cfa).cfg)
+    del stored["cfa"]["zero_init_out"]
+    assert model_config_from_dict(stored).cfa.zero_init_out is False
+    del stored["cfa"]["heads"]
+    with pytest.raises(ContractError, match="^cfa.heads is missing"):
+        model_config_from_dict(stored)
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
