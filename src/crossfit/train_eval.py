@@ -311,7 +311,7 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
         if not np.isfinite(p.data).all():
             raise TrainingDiverged(f"parameter {name} holds NaN or inf after the "
                                    f"last step (epoch {cfg.epochs - 1} step {step - 1})")
-    ckpt = Checkpoint.from_model(model, train_cfg=cfg, velocities=velocities, step=step)
+    ckpt = Checkpoint.from_model(model, train_cfg=cfg, step=step)
     return ckpt, history
 
 
@@ -412,13 +412,10 @@ class Checkpoint:
 
     @classmethod
     def from_model(cls, model: CrossFiTModel, train_cfg: TrainConfig | None = None,
-                   velocities: dict | None = None, step: int = 0) -> "Checkpoint":
+                   step: int = 0) -> "Checkpoint":
         tensors = OrderedDict()
         for name, p in model.parameters():
             tensors[f"param/{name}"] = p.data.astype(np.float32)
-        if velocities:
-            for name, v in velocities.items():
-                tensors[f"vel/{name}"] = v.astype(np.float32)
         config = {"model": model_config_to_dict(model.cfg)}
         if train_cfg is not None:
             config["train"] = asdict(train_cfg)

@@ -397,7 +397,21 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert list(loaded.tensors) == list(ckpt.tensors)
     for name in ckpt.tensors:
         assert loaded.tensors[name].tobytes() == ckpt.tensors[name].tobytes(), name
-    assert any(name.startswith("vel/") for name in loaded.tensors)
+    assert all(name.startswith("param/") for name in loaded.tensors)
+
+
+def test_checkpoint_with_momentum_tensors_loads(tmp_path):
+    """Checkpoints once carried each parameter's momentum as `vel/` tensors;
+    they still load, and those tensors are not read."""
+    model = micro_model(30)
+    ckpt = Checkpoint.from_model(model)
+    for name, p in model.parameters():
+        ckpt.tensors[f"vel/{name}"] = np.full(p.data.shape, np.float32(7.0))
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(ckpt, path)
+    clone = build_model_from_checkpoint(load_checkpoint(path))
+    for (name, a), (_, b) in zip(model.parameters(), clone.parameters()):
+        np.testing.assert_array_equal(a.data.astype(np.float32), b.data, err_msg=name)
 
 
 def test_checkpoint_restore_reproduces_predictions(tmp_path):
