@@ -189,6 +189,10 @@ def _load_split(data_dir: str, num_classes: int, frac: float):
 def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    for flag, rate in (("--split-evidence-rate", args.split_evidence_rate),
+                       ("--artifact-rate", args.artifact_rate)):
+        if not 0.0 <= rate <= 1.0:
+            raise UsageError(f"{flag} {rate} outside [0, 1]")
     cfg = sd.GenConfig(size=args.size, split_rate=args.split_evidence_rate,
                        artifact_rate=args.artifact_rate)
     out = args.out

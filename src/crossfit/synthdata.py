@@ -64,6 +64,12 @@ class GenConfig:
     split_rate: float = 0.3
     artifact_rate: float = 0.25
 
+    def __post_init__(self):
+        for name in ("split_rate", "artifact_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:  # also refuses NaN
+                raise DataError(f"{name} {rate} outside [0, 1]")
+
 
 @dataclass(frozen=True)
 class Lesion:

@@ -53,9 +53,12 @@ class TrainConfig:
     hflip: bool = True
 
     def __post_init__(self):
-        # lr = 0 is allowed (freezes parameters, useful as a sanity mode)
-        if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ContractError("negative optimizer hyperparameter")
+        # lr = 0 is allowed (freezes parameters, useful as a sanity mode);
+        # the comparison also refuses NaN
+        for name in ("lr", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ContractError(f"{name} {value} must be finite and >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
             raise ContractError("batch size must be >= 1, epochs and seed >= 0")
 

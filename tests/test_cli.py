@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -80,6 +81,15 @@ class TestGenData:
     def test_n_zero_is_usage_error(self, tmp_path):
         assert run_cli("gen-data", "--out", str(tmp_path / "x"), "--n", "0") == 2
 
+    @pytest.mark.parametrize("flag, value", [("--split-evidence-rate", "nan"),
+                                             ("--split-evidence-rate", "2"),
+                                             ("--artifact-rate", "-1")])
+    def test_rate_outside_unit_interval_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run_cli("gen-data", "--out", str(out), "--n", "2", flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
+
     def test_refuses_nonempty_dir(self, data_dir):
         assert run_cli("gen-data", "--out", data_dir, "--n", "4") == 2
 
@@ -124,6 +134,16 @@ class TestTrain:
             json.dump({"cfa.d_t": 20, "cfa.heads": 3}, fh)
         assert run_cli("train", "--data", data_dir, "--config", cfg_path,
                        "--out", str(tmp_path / "m.bin")) == 2
+
+    @pytest.mark.parametrize("key, value", [("train.lr", math.nan),
+                                            ("train.momentum", math.inf)])
+    def test_non_finite_optimizer_value_exits_2(self, data_dir, tmp_path, capsys,
+                                                key, value):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({key: value}))     # NaN / Infinity literals
+        assert run_cli("train", "--data", data_dir, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "m.bin")) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_unknown_config_key(self, data_dir, tmp_path):
         cfg_path = str(tmp_path / "bad.json")
@@ -515,8 +535,10 @@ class TestCompareGrid:
         (["--strategies", "crossfit", "--vary", "model.strategy=feat_max"],
          "'model.strategy' is varied twice"),
         (["--vary", "cfa.layers=1", "--vary", "cfa.layers=2"], "'cfa.layers' is varied twice"),
+        (["--vary", "train.lr=0.01,NaN"], "lr nan must be finite"),
+        (["--vary", "train.momentum=Infinity"], "momentum inf must be finite"),
     ], ids=["unknown-key", "mistyped-int", "mistyped-bool", "inconsistent-point", "no-values",
-            "empty-values", "seed-axis", "strategy-twice", "key-twice"])
+            "empty-values", "seed-axis", "strategy-twice", "key-twice", "nan-lr", "inf-momentum"])
     def test_refused_grid_trains_nothing(self, data_dir, tiny_config, tmp_path,
                                          monkeypatch, capsys, argv, message):
         err = self._refused(monkeypatch, capsys, tmp_path, "--data", data_dir,

@@ -142,6 +142,12 @@ class TestSceneGeneration:
         img_bare, _ = render_field(bare, "macula")
         np.testing.assert_array_equal(img, img_bare)
 
+    @pytest.mark.parametrize("field", ["split_rate", "artifact_rate"])
+    @pytest.mark.parametrize("rate", [math.nan, -0.1, 1.5, math.inf])
+    def test_rates_outside_unit_interval_refused(self, field, rate):
+        with pytest.raises(DataError, match=f"{field} .* outside"):
+            GenConfig(**{field: rate})
+
     def test_artifact_rate_zero_means_none(self):
         cfg = GenConfig(artifact_rate=0.0)
         for seed in range(8):

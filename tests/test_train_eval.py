@@ -119,8 +119,10 @@ def test_weight_decay_shrinks_without_gradient():
 
 
 def test_train_config_contracts():
-    with pytest.raises(ContractError):
-        TrainConfig(lr=-0.1)
+    for bad in ({"lr": -0.1}, {"lr": math.nan}, {"momentum": math.inf},
+                {"weight_decay": -math.inf}):
+        with pytest.raises(ContractError, match=f"{next(iter(bad))} .* must be finite"):
+            TrainConfig(**bad)
     with pytest.raises(ContractError):
         TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
