@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, eval, compare, inspect.
 Every command is deterministic given its flags and seeds.  Exit codes:
-0 success, 1 training diverged, 2 usage / I-O error (bad flags, config,
-data or checkpoint, or a model whose outputs overflow).
+0 success, 1 training diverged (`compare` still writes its report, with
+null metrics for each diverged cell), 2 usage / I-O error (bad flags,
+config, data or checkpoint, or a model whose outputs overflow).
 
 Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
 command-line flags override file values, file values override defaults.
@@ -272,15 +273,22 @@ def cmd_eval(args) -> int:
 # compare
 
 
+_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
+
+
 def _train_eval_cell(payload: tuple) -> dict:
-    """One (grid point, seed) cell, isolated enough to run in a worker process."""
+    """One (grid point, seed) cell, isolated enough to run in a worker process.
+    A cell whose training diverged has null metrics and says why."""
     data_dir, base_cfg, point, seed = payload
     model_cfg, train_cfg, frac = _build_configs({**base_cfg, **point, "train.seed": seed})
     train_set, test_set = _load_split(data_dir, model_cfg.num_classes, frac)
     _check_dataset_fit(train_set, model_cfg)
     with ad.default_dtype_scope(np.float32):
         model = CrossFiTModel(ad.make_rng(seed), model_cfg)
-        train(model, train_set, train_cfg)
+        try:
+            train(model, train_set, train_cfg)
+        except TrainingDiverged as err:
+            return {"seed": seed, **dict.fromkeys(_METRICS), "diverged": str(err)}
         grades, probs = predict_dataset(model, test_set)
     m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
     split = test_set.split_evidence
@@ -347,9 +355,6 @@ def _grid_axes(specs: list) -> dict[str, list]:
     return axes
 
 
-_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
-
-
 def _mean(vals):
     vals = [v for v in vals if v is not None]
     return float(np.mean(vals)) if vals else None
@@ -392,6 +397,10 @@ def cmd_compare(args) -> int:
         json.dump(_g6(table), fh, indent=1)
     _print_table(rows)
     _emit({"report": args.report, "rows": rows})
+    diverged = sum("diverged" in c for c in cells)
+    if diverged:
+        raise TrainingDiverged(f"{diverged} of {len(cells)} cells; {args.report} gives "
+                               f"each one's cause, and its rows average the others")
     return 0
 
 

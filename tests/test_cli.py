@@ -545,6 +545,24 @@ class TestCompareGrid:
                             "--config", tiny_config, *argv)
         assert message in err and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_cell_keeps_the_report(self, data_dir, tiny_config, tmp_path, capsys):
+        report = tmp_path / "grid.json"
+        capsys.readouterr()
+        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--strategies", "feat_max", "--vary", "train.lr=0.01,1e9",
+                       "--seeds", "1,2", "--report", str(report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: 2 of 4 cells") and err.count("\n") == 1
+        table = json.loads(report.read_text())
+        finished, diverged = table["rows"]
+        assert np.isfinite(finished["kappa"]) and diverged["kappa"] is None
+        for cell in table["cells"]:
+            assert ("diverged" in cell) == (cell["train.lr"] == 1e9)
+            assert (cell["kappa"] is None) == (cell["train.lr"] == 1e9)
+        assert finished["kappa"] == pytest.approx(
+            np.mean([c["kappa"] for c in table["cells"][:2]]), abs=1e-5)
+
     def test_two_key_product(self, data_dir, tiny_config, tmp_path, capsys):
         report = str(tmp_path / "grid.json")
         assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
