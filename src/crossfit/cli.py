@@ -123,8 +123,7 @@ def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
     threshold range, stride arithmetic) are all enforced here, before any
     data is touched."""
     model = {"encoder": {}, "cfa": {}}
-    sections = {"encoder": model["encoder"], "cfa": model["cfa"], "model": model,
-                "train": {}, "data": {}}
+    sections = {**model, "model": model, "train": {}, "data": {}}
     for key, value in cfg.items():
         section, name = key.split(".")
         sections[section]["mask_enabled" if key == "model.mask" else name] = value
@@ -273,9 +272,6 @@ def cmd_eval(args) -> int:
 # compare
 
 
-_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
-
-
 def _train_eval_cell(payload: tuple) -> dict:
     """One (grid point, seed) cell, isolated enough to run in a worker process.
     A cell whose training diverged has null metrics and says why."""
@@ -353,6 +349,9 @@ def _grid_axes(specs: list) -> dict[str, list]:
             _check_config_type(key, v)
         axes[key] = values
     return axes
+
+
+_METRICS = ("kappa", "accuracy", "macro_auc", "split_acc")
 
 
 def _mean(vals):

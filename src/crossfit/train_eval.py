@@ -1,4 +1,14 @@
-"""SGD training loop, grading metrics, and binary checkpoint persistence."""
+"""SGD training loop, grading metrics, and binary checkpoint persistence.
+
+A checkpoint is b"CFIT", a u16 version and a u32 header length (little
+endian), a UTF-8 JSON header, then float32 little-endian tensors back to
+back. In the header, `config.model` holds the model config's fields, nested
+configs as objects; `tensors` one {name, shape, offset, length} entry per
+tensor, `param/<name>` for each parameter; `payload_bytes` the payload's
+length; `train_state.step` the SGD steps taken. Loading reads those four.
+`config.train`, the train config's fields when `train` wrote the file, is a
+record only: nothing reads it back.
+"""
 
 from __future__ import annotations
 
