@@ -790,12 +790,12 @@ class TestConfigDefaults:
         `_DEFAULTS` key, and each key outside `data.` sets one field; so a new
         field needs only its dataclass field and its key."""
         seen = {}
+        walk = cli.config_from_dict
 
         def capture(cls, d):
             seen[cls] = d
-            return config_from_dict(cls, d)
+            return walk(cls, d)
 
-        config_from_dict = cli.config_from_dict
         monkeypatch.setattr(cli, "config_from_dict", capture)
         _build_configs(dict(_DEFAULTS))
 
