@@ -1,4 +1,8 @@
-"""Generator checks: grading rule, geometry invariants, file round trips."""
+"""Generator checks: grading rule, geometry invariants, file round trips.
+
+Run as a script to print the digest of every pinned generator configuration
+(`python tests/test_synthdata.py`).
+"""
 
 import dataclasses
 import hashlib
@@ -387,6 +391,32 @@ def _tree_digest(d):
     return h.hexdigest()
 
 
+def _written_digest(out_dir, seed, n, kw):
+    write_dataset(generate_dataset(seed, n, GenConfig(**kw)), out_dir)
+    return _tree_digest(out_dir)
+
+
+def _golden(seed, n, want, **kw):
+    label = "".join(f"{k}={v}-" for k, v in kw.items())
+    return pytest.param(seed, n, kw, want, id=f"{label}{seed}-{want}")
+
+
+# Frozen output of the generator: `_written_digest` of each configuration.
+# The two default-config sets (96 eyes) include split-evidence grade-3 eyes
+# and every placement fallback: exhausted `split` calls and their relaxed
+# 6000-try retry, `overlap` -> `f2` fallbacks and an exhausted `f2` call.
+# The size-96 set renders a frame size the defaults never do, with an
+# artifact in every eye and split evidence in every graded eye.  A speedup
+# of generation must leave them all unchanged.  `python
+# tests/test_synthdata.py` prints the digests the code makes now.
+_GOLDEN = [
+    _golden(0, 48, "73bd6f923c784725a0a07bc32800eb436992e99cc859446a5f9ebb32a0b5017a"),
+    _golden(1, 48, "e44e936a532e9fd1ebb0a173134eeb12df1d7c08280404ec2e5f158cacf7aadb"),
+    _golden(2, 32, "ce1b7deb8d7eb5876424c326ecb72cb63e7d586186f275ef18efc60a68c77073",
+            size=96, split_rate=1.0, artifact_rate=1.0),
+]
+
+
 _JSON_VALUE = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
               st.text(max_size=4)),
@@ -506,17 +536,9 @@ class TestPersistence:
         write_dataset(generate_dataset(5, 10), d2)
         assert _tree_digest(d1) == _tree_digest(d2)
 
-    # Frozen output of the generator.  These 96 eyes include split-evidence
-    # grade-3 eyes and every placement fallback: exhausted `split` calls and
-    # their relaxed 6000-try retry, `overlap` -> `f2` fallbacks and an
-    # exhausted `f2` call.  A speedup of generation must leave them unchanged.
-    @pytest.mark.parametrize("seed, want", [
-        (0, "73bd6f923c784725a0a07bc32800eb436992e99cc859446a5f9ebb32a0b5017a"),
-        (1, "e44e936a532e9fd1ebb0a173134eeb12df1d7c08280404ec2e5f158cacf7aadb"),
-    ])
-    def test_output_matches_golden_digest(self, tmp_path, seed, want):
-        write_dataset(generate_dataset(seed, 48), str(tmp_path))
-        assert _tree_digest(str(tmp_path)) == want
+    @pytest.mark.parametrize("seed, n, kw, want", _GOLDEN)
+    def test_output_matches_golden_digest(self, tmp_path, seed, n, kw, want):
+        assert _written_digest(str(tmp_path), seed, n, kw) == want
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
@@ -662,3 +684,12 @@ class TestPersistence:
         total = sum(os.path.getsize(os.path.join(tmp_path, "images", f))
                     for f in os.listdir(tmp_path / "images"))
         assert total < 60 * 2 * 16000  # well under the size budget per eye
+
+
+if __name__ == "__main__":
+    import tempfile
+    for case in _GOLDEN:
+        seed, n, kw, _ = case.values
+        with tempfile.TemporaryDirectory() as out_dir:
+            digest = _written_digest(out_dir, seed, n, kw)
+        print(json.dumps({"seed": seed, "eyes": n, "config": kw, "digest": digest}))
