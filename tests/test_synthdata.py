@@ -18,10 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from crossfit.geometry import RelCoord
 from crossfit.synthdata import (
-    _EDGE_PAD, _LESION_ZONE, APERTURE, ArrayDataset, DataError, GenConfig,
-    Lesion, RetinaScene, _dist, _place_lesion, generate_dataset, generate_eye,
-    generate_scene, grade_histogram, grade_rule, load_dataset, read_ppm,
-    render_field, write_dataset, write_ppm,
+    _ARTIFACT_SHADE, _BLOB_COLOR, _DOT_COLOR, _EDGE_PAD, _LESION_ZONE,
+    _OD_COLOR, _STREAK_COLOR, APERTURE, ArrayDataset, DataError, GenConfig,
+    Lesion, RetinaScene, _bounding_radius, _capsule_alpha, _disc_alpha, _dist,
+    _place_lesion, _quad_mask, generate_dataset, generate_eye, generate_scene,
+    grade_histogram, grade_rule, load_dataset, read_ppm, render_field,
+    write_dataset, write_ppm,
 )
 
 
@@ -343,6 +345,108 @@ class TestRendering:
             assert dark.sum() > 20
             return
         pytest.fail("artifact never placed at rate 1.0")
+
+
+def _pixel_box_full(cx, cy, reach, s):
+    """Row and column slices of the S x S grid covering every pixel whose
+    center lies within `reach` of (cx, cy), in pixels from the top-left."""
+    def span(c):
+        return slice(min(max(math.floor(c - reach), 0), s),
+                     min(max(math.ceil(c + reach), 0), s))
+    return span(cy), span(cx)
+
+
+def _render_field_full_frame(scene: RetinaScene, center: str):
+    """Shades every layer but the lesions over all S x S pixels: the
+    renderer `render_field` replaces, kept verbatim (with the pixel box it
+    used) as its float oracle."""
+    if center not in ("macula", "optic_disc"):
+        raise DataError(f"unknown field center {center!r}")
+    s = scene.size
+    fc = scene.field1_center if center == "macula" else scene.field2_center
+    origin = (fc[0] - s / 2.0, fc[1] - s / 2.0)
+    px = np.arange(s) + 0.5
+    sx = origin[0] + px[None, :]
+    sy = origin[1] + px[:, None] * np.ones((1, s))
+    sx, sy = np.broadcast_arrays(sx, sy)
+    fx = px[None, :] - s / 2.0
+    fy = px[:, None] - s / 2.0
+    d_center = np.hypot(fx, fy)
+    r_ap = APERTURE * s
+
+    falloff = 1.0 - 0.06 * (d_center / r_ap) ** 2
+    img = scene.base_color[None, None, :] * falloff[:, :, None]
+
+    def blend(region, alpha, color):
+        a = alpha[:, :, None]
+        return region * (1.0 - a) + np.asarray(color)[None, None, :] * a
+
+    mac_a = _disc_alpha(sx, sy, *scene.macula_center, scene.macula_radius)
+    img = img * (1.0 - 0.45 * mac_a[:, :, None])
+    od_a = _disc_alpha(sx, sy, *scene.od_center, scene.od_radius)
+    img = blend(img, od_a, _OD_COLOR)
+    for lesion in scene.lesions:
+        # alpha is exactly 0 beyond radius + 0.5 of the lesion body, where
+        # blending is the identity, so only the pixels near it are touched
+        box = _pixel_box_full(lesion.x - origin[0], lesion.y - origin[1],
+                              _bounding_radius(lesion.radius, lesion.length) + 1.5, s)
+        if lesion.kind == "streak":
+            alpha = _capsule_alpha(sx[box], sy[box], lesion)
+            color = _STREAK_COLOR
+        else:
+            alpha = _disc_alpha(sx[box], sy[box], lesion.x, lesion.y, lesion.radius)
+            color = _DOT_COLOR if lesion.kind == "dot" else _BLOB_COLOR
+        img[box] = blend(img[box], alpha, np.clip(color * lesion.shade, 0.0, 1.0))
+    field_idx = 1 if center == "macula" else 2
+    if scene.artifact is not None and scene.artifact[0] == field_idx:
+        quad = _quad_mask(sx, sy, scene.artifact[1])
+        img[quad] = _ARTIFACT_SHADE
+    rim = np.clip(r_ap + 0.5 - d_center, 0.0, 1.0)
+    img *= rim[:, :, None]
+    img = np.clip(img, 0.0, 1.0)
+    od_rel = RelCoord((scene.od_center[0] - origin[0]) / s,
+                      (scene.od_center[1] - origin[1]) / s)
+    return img, od_rel
+
+
+def _edge_scene(s):
+    """A right eye whose lesions and artifact sit where the frame clips
+    them: two lesions off field 1's frame, one cut by its left edge, one cut
+    by its top edge, and a quad over field 1's bottom-right corner."""
+    q = 0.5 * s
+    return RetinaScene(
+        size=s, laterality="OD", od_center=(0.37 * s, 0.02 * s), od_radius=0.07 * s,
+        macula_center=(0.0, 0.0), macula_radius=0.055 * s,
+        base_color=np.array([0.82, 0.40, 0.13]),
+        lesions=[Lesion("dot", 0.8 * s, 0.1 * s, 0.036 * s),
+                 Lesion("blob", -0.2 * s, -0.9 * s, 0.064 * s),
+                 Lesion("streak", -q + 0.3, 0.1 * s, 0.023 * s, angle=1.2,
+                        length=0.2 * s, shade=1.05),
+                 Lesion("dot", 0.05 * s, -q - 0.6, 0.036 * s, shade=0.93)],
+        grade=4, split_evidence=False,
+        field1_center=(0.3, -0.4), field2_center=(0.37 * s - 0.6, 0.02 * s + 0.8),
+        artifact=(1, np.array([[q - 3.0, q + 2.0], [q + 4.0, q - 1.0],
+                               [q + 1.0, q + 6.0], [q - 2.0, q + 5.0]])))
+
+
+class TestRenderingMatchesFullFrame:
+    @pytest.mark.parametrize("size", [48, 64, 96])
+    def test_fields_and_disc_coordinates_equal(self, size):
+        """Both float64 fields equal the full-frame renderer's bit for bit:
+        generated eyes of every grade, split and not, half of them with an
+        artifact, and one scene built to clip lesions and the quad."""
+        scenes = [_edge_scene(size)]
+        for seed in range(12):
+            cfg = GenConfig(size=size, split_rate=0.5 * (seed % 2), artifact_rate=0.5)
+            scenes.append(generate_scene(_rng(900 + seed), seed % 5, cfg))
+        assert any(sc.artifact is not None for sc in scenes[1:])
+        for scene in scenes:
+            for center in ("macula", "optic_disc"):
+                img, od = render_field(scene, center)
+                want_img, want_od = _render_field_full_frame(scene, center)
+                assert img.dtype == want_img.dtype == np.float64
+                assert np.array_equal(img, want_img)
+                assert od == want_od
 
 
 class TestEyePipeline:
