@@ -15,10 +15,18 @@ grade boundaries.
 Field images are rendered at S x S, quantized to 8 bits, and written as
 binary PPM plus a JSON-Lines manifest. Everything is a pure function of
 (seed, eye_id, config).
+
+The frame of a size (pixel centres, vignette falloff, aperture rim) is built
+once and shared read-only by every field of that size. The macula, the optic
+disc and each lesion are shaded only over the pixel box within their reach,
+and the artifact quad is tested only inside its bounding box: their alpha is
+exactly 0 outside, where shading leaves every bit of a pixel as it was, so
+this renders the same float64 fields as shading all S x S pixels.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -421,60 +429,98 @@ def _quad_mask(sx, sy, poly: np.ndarray):
 
 
 def _pixel_box(cx: float, cy: float, reach: float, s: int):
-    """Row and column slices of the S x S grid covering every pixel whose
-    center lies within `reach` of (cx, cy), in pixels from the top-left."""
+    """Row and column slices of the S x S grid holding exactly the pixels
+    whose centres lie within `reach` of (cx, cy) on both axes, in pixels
+    from the top-left.  Pixel i has its centre at i + 0.5, so a slice is
+    empty where no centre on that axis qualifies."""
     def span(c):
-        return slice(min(max(math.floor(c - reach), 0), s),
-                     min(max(math.ceil(c + reach), 0), s))
+        return slice(min(max(math.ceil(c - reach - 0.5), 0), s),
+                     min(max(math.floor(c + reach - 0.5) + 1, 0), s))
     return span(cy), span(cx)
 
 
+@functools.lru_cache(maxsize=8)
+def _frame(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pixel centres (S,), vignette falloff (S, S, 1), aperture rim
+    (S, S, 1)) of an S x S field, in pixels from the top-left.
+
+    Constants of the size: built once, then every field of that size shares
+    the read-only arrays.
+    """
+    px = np.arange(s) + 0.5
+    d_center = np.hypot(px[None, :] - s / 2.0, px[:, None] - s / 2.0)[:, :, None]
+    r_ap = APERTURE * s
+    falloff = 1.0 - 0.06 * (d_center / r_ap) ** 2
+    rim = np.clip(r_ap + 0.5 - d_center, 0.0, 1.0)
+    for a in (px, falloff, rim):
+        a.setflags(write=False)
+    return px, falloff, rim
+
+
 def render_field(scene: RetinaScene, center: str):
-    """Rasterize one camera view; returns (image, optic-disc RelCoord)."""
+    """Rasterize one camera view; returns (image, optic-disc RelCoord).
+
+    Layers go down in order: vignetted base colour, macula darkening, optic
+    disc, lesions, artifact quad, aperture rim.  Each disc or lesion is
+    shaded only over the pixel box within its reach, and the quad is tested
+    only inside its bounding box.  That is exact: beyond radius + 0.5 of a
+    body its alpha is exactly 0, where darkening multiplies by 1.0 and
+    blending adds +0.0 to a positive colour, so the pixels outside keep
+    every bit.  A lesion whose box misses the field is skipped.
+    """
     if center not in ("macula", "optic_disc"):
         raise DataError(f"unknown field center {center!r}")
     s = scene.size
     fc = scene.field1_center if center == "macula" else scene.field2_center
     origin = (fc[0] - s / 2.0, fc[1] - s / 2.0)
-    px = np.arange(s) + 0.5
-    sx = origin[0] + px[None, :]
-    sy = origin[1] + px[:, None] * np.ones((1, s))
-    sx, sy = np.broadcast_arrays(sx, sy)
-    fx = px[None, :] - s / 2.0
-    fy = px[:, None] - s / 2.0
-    d_center = np.hypot(fx, fy)
-    r_ap = APERTURE * s
+    px, falloff, rim = _frame(s)
+    img = scene.base_color * falloff
 
-    falloff = 1.0 - 0.06 * (d_center / r_ap) ** 2
-    img = scene.base_color[None, None, :] * falloff[:, :, None]
+    def near(x, y, reach):
+        """(pixel box, retina x as a row, retina y as a column) of the
+        pixels within `reach` of retina point (x, y); None off the field."""
+        rows, cols = box = _pixel_box(x - origin[0], y - origin[1], reach, s)
+        if rows.start == rows.stop or cols.start == cols.stop:
+            return None
+        return box, origin[0] + px[cols][None, :], origin[1] + px[rows][:, None]
 
-    def blend(region, alpha, color):
+    def blend(box, alpha, color):
         a = alpha[:, :, None]
-        return region * (1.0 - a) + np.asarray(color)[None, None, :] * a
+        img[box] = img[box] * (1.0 - a) + np.asarray(color)[None, None, :] * a
 
-    mac_a = _disc_alpha(sx, sy, *scene.macula_center, scene.macula_radius)
-    img = img * (1.0 - 0.45 * mac_a[:, :, None])
-    od_a = _disc_alpha(sx, sy, *scene.od_center, scene.od_radius)
-    img = blend(img, od_a, _OD_COLOR)
+    # alpha is exactly 0 beyond radius + 0.5 of a body; a reach of
+    # radius + 1.5 keeps every pixel it touches with a pixel to spare
+    (mx, my), mac_r = scene.macula_center, scene.macula_radius
+    if hit := near(mx, my, mac_r + 1.5):
+        box, sx, sy = hit
+        img[box] *= 1.0 - 0.45 * _disc_alpha(sx, sy, mx, my, mac_r)[:, :, None]
+    (ox, oy), od_r = scene.od_center, scene.od_radius
+    if hit := near(ox, oy, od_r + 1.5):
+        box, sx, sy = hit
+        blend(box, _disc_alpha(sx, sy, ox, oy, od_r), _OD_COLOR)
     for lesion in scene.lesions:
-        # alpha is exactly 0 beyond radius + 0.5 of the lesion body, where
-        # blending is the identity, so only the pixels near it are touched
-        box = _pixel_box(lesion.x - origin[0], lesion.y - origin[1],
-                         _bounding_radius(lesion.radius, lesion.length) + 1.5, s)
+        hit = near(lesion.x, lesion.y,
+                   _bounding_radius(lesion.radius, lesion.length) + 1.5)
+        if hit is None:
+            continue
+        box, sx, sy = hit
         if lesion.kind == "streak":
-            alpha = _capsule_alpha(sx[box], sy[box], lesion)
+            alpha = _capsule_alpha(sx, sy, lesion)
             color = _STREAK_COLOR
         else:
-            alpha = _disc_alpha(sx[box], sy[box], lesion.x, lesion.y, lesion.radius)
+            alpha = _disc_alpha(sx, sy, lesion.x, lesion.y, lesion.radius)
             color = _DOT_COLOR if lesion.kind == "dot" else _BLOB_COLOR
-        img[box] = blend(img[box], alpha, np.clip(color * lesion.shade, 0.0, 1.0))
+        blend(box, alpha, np.clip(color * lesion.shade, 0.0, 1.0))
     field_idx = 1 if center == "macula" else 2
     if scene.artifact is not None and scene.artifact[0] == field_idx:
-        quad = _quad_mask(sx, sy, scene.artifact[1])
-        img[quad] = _ARTIFACT_SHADE
-    rim = np.clip(r_ap + 0.5 - d_center, 0.0, 1.0)
-    img *= rim[:, :, None]
-    img = np.clip(img, 0.0, 1.0)
+        poly = scene.artifact[1]
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        mid = (lo + hi) / 2.0
+        if hit := near(mid[0], mid[1], float((hi - lo).max()) / 2.0 + 1.0):
+            box, sx, sy = hit
+            img[box][_quad_mask(*np.broadcast_arrays(sx, sy), poly)] = _ARTIFACT_SHADE
+    img *= rim
+    np.clip(img, 0.0, 1.0, out=img)
     od_rel = RelCoord((scene.od_center[0] - origin[0]) / s,
                       (scene.od_center[1] - origin[1]) / s)
     return img, od_rel

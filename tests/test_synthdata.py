@@ -21,7 +21,7 @@ from crossfit.synthdata import (
     _ARTIFACT_SHADE, _BLOB_COLOR, _DOT_COLOR, _EDGE_PAD, _LESION_ZONE,
     _OD_COLOR, _STREAK_COLOR, APERTURE, ArrayDataset, DataError, GenConfig,
     Lesion, RetinaScene, _bounding_radius, _capsule_alpha, _disc_alpha, _dist,
-    _place_lesion, _quad_mask, generate_dataset, generate_eye, generate_scene,
+    _pixel_box, _place_lesion, _quad_mask, generate_dataset, generate_eye, generate_scene,
     grade_histogram, grade_rule, load_dataset, read_ppm, render_field,
     write_dataset, write_ppm,
 )
@@ -427,6 +427,30 @@ def _edge_scene(s):
         field1_center=(0.3, -0.4), field2_center=(0.37 * s - 0.6, 0.02 * s + 0.8),
         artifact=(1, np.array([[q - 3.0, q + 2.0], [q + 4.0, q - 1.0],
                                [q + 1.0, q + 6.0], [q - 2.0, q + 5.0]])))
+
+
+class TestPixelBox:
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.floats(-40.0, 104.0), cy=st.floats(-40.0, 104.0),
+           reach=st.floats(0.0, 40.0), s=st.sampled_from([1, 2, 48, 64]))
+    @example(cx=-0.9, cy=5.0, reach=1.0, s=64)     # box of the old rule: one stray column
+    @example(cx=5.0, cy=5.0, reach=0.2, s=64)      # between two centres on both axes
+    @example(cx=5.5, cy=70.0, reach=6.5, s=64)     # a centre exactly at reach; off the bottom
+    def test_box_holds_exactly_the_pixels_in_reach(self, cx, cy, reach, s):
+        """On and off the frame: every pixel whose centre lies within
+        `reach` of (cx, cy) on both axes is in the box and no other is, so
+        the box is empty exactly when no pixel qualifies."""
+        rows, cols = _pixel_box(cx, cy, reach, s)
+        centres = np.arange(s) + 0.5
+
+        def within(c):
+            return set(np.flatnonzero((c - reach <= centres) & (centres <= c + reach)))
+
+        assert set(range(s)[rows]) == within(cy)
+        assert set(range(s)[cols]) == within(cx)
+        qualifying = len(within(cy)) * len(within(cx))
+        box = len(range(s)[rows]) * len(range(s)[cols])
+        assert (box == 0) == (qualifying == 0)
 
 
 class TestRenderingMatchesFullFrame:
