@@ -193,6 +193,9 @@ def cmd_gen_data(args) -> int:
                        ("--artifact-rate", args.artifact_rate)):
         if not 0.0 <= rate <= 1.0:
             raise UsageError(f"{flag} {rate} outside [0, 1]")
+    if args.size < sd.MIN_SIZE:
+        raise UsageError(f"--size {args.size} below {sd.MIN_SIZE}, the smallest "
+                         "field the generator can place lesions in")
     cfg = sd.GenConfig(size=args.size, split_rate=args.split_evidence_rate,
                        artifact_rate=args.artifact_rate)
     out = args.out

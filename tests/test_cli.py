@@ -90,6 +90,15 @@ class TestGenData:
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["0", "-8", str(sd.MIN_SIZE - 1)])
+    def test_size_below_minimum_exits_2(self, tmp_path, capsys, size):
+        out = tmp_path / "x"
+        assert run_cli("gen-data", "--out", str(out), "--n", "2", "--size", size) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --size {size} below {sd.MIN_SIZE}, the smallest " \
+                      "field the generator can place lesions in\n"
+        assert not out.exists()
+
     def test_refuses_nonempty_dir(self, data_dir):
         assert run_cli("gen-data", "--out", data_dir, "--n", "4") == 2
 

@@ -19,11 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 from crossfit.geometry import RelCoord
 from crossfit.synthdata import (
     _ARTIFACT_SHADE, _BLOB_COLOR, _DOT_COLOR, _EDGE_PAD, _LESION_ZONE,
-    _OD_COLOR, _STREAK_COLOR, APERTURE, ArrayDataset, DataError, GenConfig,
-    Lesion, RetinaScene, _bounding_radius, _capsule_alpha, _disc_alpha, _dist,
-    _pixel_box, _place_lesion, _quad_mask, generate_dataset, generate_eye, generate_scene,
-    grade_histogram, grade_rule, load_dataset, read_ppm, render_field,
-    write_dataset, write_ppm,
+    _OD_COLOR, _STREAK_COLOR, APERTURE, MIN_SIZE, ArrayDataset, DataError,
+    GenConfig, Lesion, RetinaScene, _bounding_radius, _capsule_alpha,
+    _disc_alpha, _dist, _pixel_box, _place_lesion, _quad_mask,
+    generate_dataset, generate_eye, generate_scene, grade_histogram,
+    grade_rule, load_dataset, read_ppm, render_field, write_dataset,
+    write_ppm,
 )
 
 
@@ -153,6 +154,15 @@ class TestSceneGeneration:
     def test_rates_outside_unit_interval_refused(self, field, rate):
         with pytest.raises(DataError, match=f"{field} .* outside"):
             GenConfig(**{field: rate})
+
+    @pytest.mark.parametrize("size", [0, -8, MIN_SIZE - 1])
+    def test_size_below_minimum_refused(self, size):
+        with pytest.raises(DataError, match=f"size {size} below {MIN_SIZE}"):
+            GenConfig(size=size)
+
+    def test_minimum_size_generates(self):
+        hist = grade_histogram(generate_dataset(0, 30, GenConfig(size=MIN_SIZE)))
+        assert hist["total"] == 30 and hist["split_evidence"] > 0
 
     def test_artifact_rate_zero_means_none(self):
         cfg = GenConfig(artifact_rate=0.0)
