@@ -509,11 +509,13 @@ def render_field(scene: RetinaScene, center: str):
     # alpha is exactly 0 beyond radius + 0.5 of a body; a reach of
     # radius + 1.5 keeps every pixel it touches with a pixel to spare
     (mx, my), mac_r = scene.macula_center, scene.macula_radius
-    if hit := near(mx, my, mac_r + 1.5):
+    hit = near(mx, my, mac_r + 1.5)
+    if hit is not None:
         box, sx, sy = hit
         img[box] *= 1.0 - 0.45 * _disc_alpha(sx, sy, mx, my, mac_r)[:, :, None]
     (ox, oy), od_r = scene.od_center, scene.od_radius
-    if hit := near(ox, oy, od_r + 1.5):
+    hit = near(ox, oy, od_r + 1.5)
+    if hit is not None:
         box, sx, sy = hit
         blend(box, _disc_alpha(sx, sy, ox, oy, od_r), _OD_COLOR)
     for lesion in scene.lesions:
@@ -534,9 +536,11 @@ def render_field(scene: RetinaScene, center: str):
         poly = scene.artifact[1]
         lo, hi = poly.min(axis=0), poly.max(axis=0)
         mid = (lo + hi) / 2.0
-        if hit := near(mid[0], mid[1], float((hi - lo).max()) / 2.0 + 1.0):
+        hit = near(mid[0], mid[1], float((hi - lo).max()) / 2.0 + 1.0)
+        if hit is not None:
             box, sx, sy = hit
-            img[box][_quad_mask(*np.broadcast_arrays(sx, sy), poly)] = _ARTIFACT_SHADE
+            quad = _quad_mask(*np.broadcast_arrays(sx, sy), poly)
+            img[box][quad] = _ARTIFACT_SHADE     # img[box] is a view
     img *= rim
     np.clip(img, 0.0, 1.0, out=img)
     od_rel = RelCoord((scene.od_center[0] - origin[0]) / s,

@@ -367,9 +367,9 @@ def _pixel_box_full(cx, cy, reach, s):
 
 
 def _render_field_full_frame(scene: RetinaScene, center: str):
-    """Shades every layer but the lesions over all S x S pixels: the
-    renderer `render_field` replaces, kept verbatim (with the pixel box it
-    used) as its float oracle."""
+    """The renderer `render_field` replaced, kept verbatim with the pixel
+    box it used as the float oracle: it shades every layer but the lesions
+    over all S x S pixels."""
     if center not in ("macula", "optic_disc"):
         raise DataError(f"unknown field center {center!r}")
     s = scene.size
