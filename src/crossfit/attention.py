@@ -28,15 +28,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CfaConfig:
-    """Cross-field attention stack and mask. Every CLI command takes its values
-    from `cli._DEFAULTS`; the defaults here serve library callers and tests only."""
+    """Cross-field attention stack and mask."""
 
     layers: int = 3
     heads: int = 4
     d_t: int = 64
     mlp_ratio: int = 4
     threshold: float = 0.06
-    zero_init_out: bool = False  # zero the two output projections: identity at init
+    zero_init_out: bool = True  # zero the two output projections: identity at init
 
     def __post_init__(self):
         if self.heads < 1 or self.d_t < 1:

@@ -7,7 +7,8 @@ null metrics for each diverged cell), 2 usage / I-O error (bad flags,
 config, data or checkpoint, or a model whose outputs overflow).
 
 Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
-command-line flags override file values, file values override defaults.
+command-line flags override file values, file values override defaults:
+the config dataclasses' field defaults, and 0.8 for `data.train_frac`.
 `compare` trains one model per seed at each point of a grid over config
 keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.
 """
@@ -34,8 +35,8 @@ from .geometry import field1_grid, regular_coords
 from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
                          TrainingDiverged, build_model_from_checkpoint,
-                         config_from_dict, evaluate, finite_outputs,
-                         json_type_error, load_checkpoint,
+                         config_from_dict, evaluate, field_defaults,
+                         finite_outputs, json_type_error, load_checkpoint,
                          metrics_from_predictions, predict_dataset, save_checkpoint,
                          train)
 
@@ -47,30 +48,13 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-_DEFAULTS = {
-    "encoder.stage_channels": [192],
-    "encoder.stride": 16,
-    "encoder.kernel": 15,
-    "encoder.input_size": 64,
-    "cfa.layers": 3,
-    "cfa.heads": 4,
-    "cfa.d_t": 64,
-    "cfa.mlp_ratio": 4,
-    "cfa.threshold": 0.06,
-    "cfa.zero_init_out": True,
-    "model.strategy": "crossfit",
-    "model.pe_mode": "aligned",
-    "model.mask": True,
-    "model.num_classes": 5,
-    "train.lr": 0.01,
-    "train.momentum": 0.9,
-    "train.weight_decay": 1e-4,
-    "train.batch_size": 16,
-    "train.epochs": 40,
-    "train.seed": 0,
-    "train.hflip": True,
-    "data.train_frac": 0.8,
-}
+# config key -> "section.field" where the field has another name
+_RENAMED = {"model.mask": "model.mask_enabled"}
+# each config field's default, keyed as `_build_configs` groups them
+_DEFAULTS = {{v: k for k, v in _RENAMED.items()}.get(path, path): value
+             for cls, section in ((CrossFiTConfig, "model"), (TrainConfig, "train"))
+             for path, value in field_defaults(cls, section).items()}
+_DEFAULTS["data.train_frac"] = 0.8
 
 
 def _check_config_type(key: str, value) -> None:
@@ -118,15 +102,15 @@ def _merged_config(args) -> dict:
 def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
     """Dotted-key dict -> validated config objects.
 
-    A key names its config section and field; `model.mask` sets the field
-    `mask_enabled`. Consistency rules (width divisible by heads and by 4,
+    A key names its config section and field, but for the keys `_RENAMED`
+    gives another. Consistency rules (width divisible by heads and by 4,
     threshold range, stride arithmetic) are all enforced here, before any
     data is touched."""
     model = {"encoder": {}, "cfa": {}}
     sections = {**model, "model": model, "train": {}, "data": {}}
     for key, value in cfg.items():
-        section, name = key.split(".")
-        sections[section]["mask_enabled" if key == "model.mask" else name] = value
+        section, name = _RENAMED.get(key, key).split(".")
+        sections[section][name] = value
     try:
         model_cfg = config_from_dict(CrossFiTConfig, model)
         train_cfg = config_from_dict(TrainConfig, sections["train"])

@@ -1,10 +1,9 @@
 """Small strided CNN producing per-field feature maps.
 
 Both fields go through one shared parameter set (siamese). Each stage is a
-convolution with its own kernel and stride (the CLI default is a single
-15x15 stage at stride 16) followed by relu, so the final activations are
-nonnegative and the downstream mask normalization lands in [0,1] without a
-special case. Feature maps are channels-last (n, h, w, d_e).
+convolution with its own kernel and stride followed by relu, so the final
+activations are nonnegative and the downstream mask normalization lands in
+[0,1] without a special case. Feature maps are channels-last (n, h, w, d_e).
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ __all__ = ["EncoderConfig", "Encoder"]
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """The shared CNN. Every CLI command takes its values from `cli._DEFAULTS`;
-    the defaults here serve library callers and tests only. `stride` and
-    `kernel` take one int for every stage or one per stage, and are stored
-    per stage."""
+    """The shared CNN. `stride` and `kernel` take one int for every stage or
+    one per stage, and are stored per stage."""
 
-    stage_channels: tuple[int, ...] = (16, 32, 48, 64)
-    stride: int | tuple[int, ...] = 2
-    kernel: int | tuple[int, ...] = 3
+    stage_channels: tuple[int, ...] = (192,)
+    stride: int | tuple[int, ...] = 16
+    kernel: int | tuple[int, ...] = 15
     input_size: int = 64
 
     def __post_init__(self):

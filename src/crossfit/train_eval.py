@@ -17,7 +17,7 @@ import math
 import struct
 import warnings
 from collections import OrderedDict
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .model import CrossFiTConfig, CrossFiTModel
 __all__ = [
     "TrainConfig", "TrainingDiverged", "CheckpointError", "NonFiniteOutputError",
     "MetricsReport", "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
-    "finite_outputs", "predict_dataset", "evaluate", "train", "Checkpoint",
+    "finite_outputs", "predict_dataset", "evaluate", "train", "Checkpoint", "field_defaults",
     "save_checkpoint", "load_checkpoint", "json_type_error", "config_from_dict",
     "model_config_to_dict", "model_config_from_dict", "build_model_from_checkpoint",
 ]
@@ -51,14 +51,13 @@ class NonFiniteOutputError(FloatingPointError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyperparameters. Every CLI command takes its values from
-    `cli._DEFAULTS`; the defaults here serve library callers and tests only."""
+    """SGD hyperparameters."""
 
-    lr: float = 1e-3
+    lr: float = 0.01
     momentum: float = 0.9
-    weight_decay: float = 1e-5
+    weight_decay: float = 1e-4
     batch_size: int = 16
-    epochs: int = 30
+    epochs: int = 40
     seed: int = 0
     hflip: bool = True
 
@@ -373,6 +372,21 @@ def json_type_error(key: str, value, default) -> str | None:
     return f"must be {' or '.join(sorted(allowed))}, got {json.dumps(value)}"
 
 
+def field_defaults(cls, section: str) -> dict:
+    """"section.field" -> declared default of each field of config dataclass
+    `cls`, a nested config's fields under its own name and a tuple as a list.
+    It reads the declarations, not an instance, which would hold an int
+    `stride` once per stage."""
+    defaults = {}
+    for f in fields(cls):
+        if f.default is MISSING:  # a nested config, built by its class
+            defaults.update(field_defaults(f.default_factory, f.name))
+        else:
+            defaults[f"{section}.{f.name}"] = (list(f.default) if isinstance(f.default, tuple)
+                                               else f.default)
+    return defaults
+
+
 # fields that headers written before the field existed lack, and the value
 # such a header means
 _ABSENT_MEANS = {"cfa.zero_init_out": False}
@@ -393,16 +407,15 @@ def config_from_dict(cls, d, prefix: str = ""):
     values = {}
     for f in fields(cls):
         name = prefix + f.name
-        default = f.default if f.default_factory is MISSING else f.default_factory()
         if f.name not in d:
             if name not in _ABSENT_MEANS:
                 raise ContractError(f"{name} is missing")
             values[f.name] = _ABSENT_MEANS[name]
-        elif is_dataclass(default):
-            values[f.name] = config_from_dict(type(default), d[f.name], name + ".")
+        elif f.default is MISSING:  # a nested config, built by its class
+            values[f.name] = config_from_dict(f.default_factory, d[f.name], name + ".")
         else:
             value = d[f.name]
-            problem = json_type_error(name, value, default)
+            problem = json_type_error(name, value, f.default)
             if problem:
                 raise ContractError(f"{name} {problem}")
             values[f.name] = tuple(value) if isinstance(value, list) else value

@@ -17,7 +17,7 @@ from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 def toy_cfg(**kw):
-    base = dict(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06)
+    base = dict(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06, zero_init_out=False)
     base.update(kw)
     return CfaConfig(**base)
 
@@ -69,7 +69,8 @@ def test_masks_from_features_constant_row():
 
 def projecting_model(rng, d_e: int, d_t: int = 4) -> CrossFiTModel:
     """A crossfit model whose projection maps d_e encoder channels to d_t."""
-    cfg = CrossFiTConfig(encoder=EncoderConfig(stage_channels=(d_e,), input_size=4),
+    cfg = CrossFiTConfig(encoder=EncoderConfig(stage_channels=(d_e,), stride=2, kernel=3,
+                                               input_size=4),
                          cfa=CfaConfig(layers=0, heads=1, d_t=d_t))
     return CrossFiTModel(rng, cfg)
 
@@ -165,7 +166,8 @@ def test_all_zero_mask_rejected():
 def test_masked_columns_zero_rows_normalized(seed, heads, d_t, tokens):
     if d_t % heads != 0:
         heads = 1
-    cfg = CfaConfig(layers=1, heads=heads, d_t=d_t, mlp_ratio=2, threshold=0.5)
+    cfg = CfaConfig(layers=1, heads=heads, d_t=d_t, mlp_ratio=2, threshold=0.5,
+                    zero_init_out=False)
     rng = make_rng(seed)
     mha = MultiHeadAttention(rng, cfg)
     f = Tensor(rng.normal(size=(1, tokens, d_t)))

@@ -766,6 +766,11 @@ class TestConfigDefaults:
             return
         CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
 
+    def test_library_defaults_are_the_cli_defaults(self):
+        """The config dataclasses' own defaults are the recipe every command runs."""
+        model_cfg, train_cfg, _ = _build_configs(dict(_DEFAULTS))
+        assert CrossFiTConfig() == model_cfg and TrainConfig() == train_cfg
+
     def test_defaults_are_consistent(self):
         model_cfg, train_cfg, frac = _build_configs(dict(_DEFAULTS))
         assert model_cfg.cfa.d_t % model_cfg.cfa.heads == 0

@@ -18,30 +18,31 @@ def test_default_config_feature_shape():
     cfg = EncoderConfig()
     assert cfg.total_stride == 16
     assert cfg.feature_side == 4
-    assert cfg.d_e == 64
+    assert cfg.d_e == 192
     enc = Encoder(make_rng(0), cfg)
     img = make_rng(1).uniform(size=(1, 64, 64, 3))
-    assert encode(enc, img).shape == (1, 4, 4, 64)
+    assert encode(enc, img).shape == (1, 4, 4, 192)
 
 
 def test_neutral_image_zero_features():
     # inputs are centered around mid-gray inside the stack; with zero biases
     # a 0.5 image propagates exact zeros through every stage
-    cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
+    cfg = EncoderConfig(stage_channels=(4, 8), stride=2, kernel=3, input_size=16)
     enc = Encoder(make_rng(0), cfg)
     feats = encode(enc, np.full((1, 16, 16, 3), 0.5))
     np.testing.assert_array_equal(feats, np.zeros((1, 4, 4, 8)))
 
 
 def test_activations_nonnegative():
-    cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
+    cfg = EncoderConfig(stage_channels=(4, 8), stride=2, kernel=3, input_size=16)
     enc = Encoder(make_rng(3), cfg)
     feats = encode(enc, make_rng(4).uniform(size=(1, 16, 16, 3)))
     assert (feats >= 0.0).all()
 
 
 def test_wrong_input_size_rejected():
-    enc = Encoder(make_rng(0), EncoderConfig(stage_channels=(4,), input_size=16))
+    cfg = EncoderConfig(stage_channels=(4,), stride=2, kernel=3, input_size=16)
+    enc = Encoder(make_rng(0), cfg)
     with pytest.raises(ShapeError):
         encode(enc, np.zeros((1, 8, 8, 3)))
     with pytest.raises(ShapeError):          # one image must carry its batch axis
@@ -50,17 +51,17 @@ def test_wrong_input_size_rejected():
 
 def test_config_divisibility_contract():
     with pytest.raises(ContractError):
-        EncoderConfig(stage_channels=(4, 8, 8), input_size=20)
+        EncoderConfig(stage_channels=(4, 8, 8), stride=2, kernel=3, input_size=20)
     with pytest.raises(ContractError):
         EncoderConfig(stage_channels=())
     with pytest.raises(ContractError):
-        EncoderConfig(stage_channels=(4, 0), input_size=16)
+        EncoderConfig(stage_channels=(4, 0), stride=2, kernel=3, input_size=16)
     with pytest.raises(ContractError):
         EncoderConfig(input_size=0)
 
 
 def test_batched_matches_single():
-    cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
+    cfg = EncoderConfig(stage_channels=(4, 8), stride=2, kernel=3, input_size=16)
     enc = Encoder(make_rng(5), cfg)
     imgs = make_rng(6).uniform(size=(3, 16, 16, 3))
     batched = encode(enc, imgs)
@@ -70,7 +71,7 @@ def test_batched_matches_single():
 
 
 def test_gradients_reach_every_parameter():
-    cfg = EncoderConfig(stage_channels=(4, 8), input_size=16)
+    cfg = EncoderConfig(stage_channels=(4, 8), stride=2, kernel=3, input_size=16)
     enc = Encoder(make_rng(7), cfg)
     imgs = make_rng(8).uniform(size=(2, 3, 16, 16))
     out = enc(Tensor(imgs))

@@ -16,8 +16,9 @@ from crossfit.model import (
 
 def micro_cfg(**kw):
     base = dict(
-        encoder=EncoderConfig(stage_channels=(4, 6), input_size=16),
-        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06),
+        encoder=EncoderConfig(stage_channels=(4, 6), stride=2, kernel=3, input_size=16),
+        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06,
+                      zero_init_out=False),
         num_classes=3,
     )
     base.update(kw)
@@ -272,8 +273,9 @@ def test_crossfit_loss_gradients_reach_all_parameters():
 def test_end_to_end_gradcheck_tiny():
     # smallest full pipeline: 8x8 images, 2x2 tokens, one block
     cfg = CrossFiTConfig(
-        encoder=EncoderConfig(stage_channels=(3, 4), input_size=8),
-        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06),
+        encoder=EncoderConfig(stage_channels=(3, 4), stride=2, kernel=3, input_size=8),
+        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06,
+                      zero_init_out=False),
         num_classes=3, pe_mode="aligned")
     model = CrossFiTModel(make_rng(26), cfg)
     i1, i2, od1, od2 = rand_pair(27, s=8)

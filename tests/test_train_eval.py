@@ -54,8 +54,9 @@ def auc_oracle(scores, positives):
 
 def micro_model(seed=0, **cfg_kw):
     base = dict(
-        encoder=EncoderConfig(stage_channels=(4, 6), input_size=16),
-        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06),
+        encoder=EncoderConfig(stage_channels=(4, 6), stride=2, kernel=3, input_size=16),
+        cfa=CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, threshold=0.06,
+                      zero_init_out=False),
         num_classes=3)
     base.update(cfg_kw)
     return CrossFiTModel(make_rng(seed), CrossFiTConfig(**base))
