@@ -719,6 +719,8 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
                 raise DataError(f"eye {eye}: {k}={rec[k]!r} is not a number")
             if not (0.0 <= rec[k] <= 1.0):
                 raise DataError(f"eye {eye}: {k}={rec[k]} outside [0,1]")
+        if not isinstance(rec["split_evidence"], bool):
+            raise DataError(f"eye {eye}: split_evidence={rec['split_evidence']!r} is not a boolean")
         if not (0 <= rec["grade"] < num_classes):
             raise DataError(f"eye {eye}: grade {rec['grade']} outside [0,{num_classes})")
         paths = []
@@ -741,7 +743,7 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
         samples.append(TwoFieldSample(
             img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
             RelCoord(rec["od2_x"], rec["od2_y"]), int(rec["grade"]),
-            int(rec["eye_id"]), bool(rec["split_evidence"])))
+            int(rec["eye_id"]), rec["split_evidence"]))
     if not samples:
         raise DataError(f"{manifest}: no records")
     return ArrayDataset.from_samples(samples)

@@ -201,6 +201,7 @@ class TestTrain:
         ("absolute_path", "leaves the data directory"),
         ("duplicate_id", "duplicate eye_id"),
         ("mixed_sizes", "expected 64x64"),
+        ("string_split_evidence", "eye 1: split_evidence='false' is not a boolean"),
     ])
     def test_malformed_dataset_exits_2(self, tiny_config, tmp_path, capsys, case, message):
         path = str(tmp_path / "eyes")
@@ -216,6 +217,8 @@ class TestTrain:
             recs[1]["field1_path"] = stray
         elif case == "duplicate_id":
             recs[2]["eye_id"] = recs[0]["eye_id"]
+        elif case == "string_split_evidence":
+            recs[1]["split_evidence"] = "false"
         else:
             sd.write_ppm(os.path.join(path, recs[2]["field2_path"]),
                          np.zeros((32, 32, 3), np.uint8))
