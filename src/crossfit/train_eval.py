@@ -529,6 +529,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         # ValueError covers undecodable UTF-8 and malformed JSON,
         # RecursionError JSON nested too deep to decode
         raise CheckpointError(f"{path}: corrupt header ({err!r})") from None
+    if not _is_count(step):
+        raise CheckpointError(f"{path}: train_state.step {json.dumps(step)} is not a count")
     payload = blob[header_end:]
     if len(payload) != payload_bytes:
         raise CheckpointError(

@@ -478,6 +478,15 @@ def test_checkpoint_malformed_index_typed(tmp_path, field, bad):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("step", ["x", -1, 2.5, True, None])
+def test_checkpoint_step_must_be_a_count(tmp_path, step):
+    path = tmp_path / "s.ckpt"
+    path.write_bytes(_checkpoint_blob({"config": {}, "payload_bytes": 0, "tensors": [],
+                                       "train_state": {"step": step}}, b""))
+    with pytest.raises(CheckpointError, match="train_state.step .* is not a count"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_corrupt_header_typed(tmp_path):
     path = str(tmp_path / "h.ckpt")
     save_checkpoint(Checkpoint.from_model(micro_model(23)), path)
@@ -675,6 +684,7 @@ def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory, blob):
         ckpt = load_checkpoint(str(path))
     except CheckpointError:
         return
+    assert type(ckpt.step) is int and ckpt.step >= 0
     for name, arr in ckpt.tensors.items():
         assert isinstance(name, str) and arr.dtype == np.float32
         assert np.isfinite(arr).all()
