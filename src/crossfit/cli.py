@@ -299,7 +299,7 @@ def _run_cells(payloads: list) -> list:
 
 
 def _comma_list(flag: str, text: str, parse=str) -> list:
-    """The items of a comma-separated flag value, each read by `parse`.
+    """The distinct items of a comma-separated flag value, each read by `parse`.
     A comma inside brackets stays in its item: "[8,16],[24]" is two items."""
     items = [item.strip() for item in re.split(r",(?![^\[]*\])", text)]
     try:
@@ -308,6 +308,8 @@ def _comma_list(flag: str, text: str, parse=str) -> list:
         raise UsageError(f"bad {flag} {text!r}") from None
     if not values:
         raise UsageError(f"{flag} is empty")
+    if any(v in values[:i] for i, v in enumerate(values)):
+        raise UsageError(f"{flag} {text!r} repeats a value")
     return values
 
 

@@ -526,7 +526,7 @@ class TestCompareGrid:
         monkeypatch.setenv("CROSSFIT_THREADS", "1")
         monkeypatch.setattr("crossfit.cli.train", no_training)
         report = tmp_path / "x.json"
-        assert run_cli("compare", *argv, "--seeds", "1", "--report", str(report)) == 2
+        assert run_cli("compare", "--seeds", "1", *argv, "--report", str(report)) == 2
         assert not report.exists()
         return capsys.readouterr().err
 
@@ -549,8 +549,13 @@ class TestCompareGrid:
         (["--vary", "cfa.layers=1", "--vary", "cfa.layers=2"], "'cfa.layers' is varied twice"),
         (["--vary", "train.lr=0.01,NaN"], "lr nan must be finite"),
         (["--vary", "train.momentum=Infinity"], "momentum inf must be finite"),
+        (["--seeds", "1,2,1"], "--seeds '1,2,1' repeats a value"),
+        (["--vary", "cfa.layers=1,2,1"], "--vary cfa.layers '1,2,1' repeats a value"),
+        (["--vary", "encoder.stage_channels=[8],[8]"], "'[8],[8]' repeats a value"),
+        (["--strategies", "crossfit,crossfit"], "'crossfit,crossfit' repeats a value"),
     ], ids=["unknown-key", "mistyped-int", "mistyped-bool", "inconsistent-point", "no-values",
-            "empty-values", "seed-axis", "strategy-twice", "key-twice", "nan-lr", "inf-momentum"])
+            "empty-values", "seed-axis", "strategy-twice", "key-twice", "nan-lr", "inf-momentum",
+            "repeated-seed", "repeated-value", "repeated-list", "repeated-strategy"])
     def test_refused_grid_trains_nothing(self, data_dir, tiny_config, tmp_path,
                                          monkeypatch, capsys, argv, message):
         err = self._refused(monkeypatch, capsys, tmp_path, "--data", data_dir,
