@@ -10,11 +10,13 @@ A change to the model or the tape that alters a single bit shows here.
 The digests are computed in a subprocess with `OPENBLAS_NUM_THREADS=1`,
 because OpenBLAS changes its summation order with the thread count. They
 also depend on the numpy version, its BLAS build and the CPU's SIMD
-targets, recorded in PINNED_PLATFORM: on any other platform the tests skip
-and say what differs. Each kind of output also pins its L2 norm and its
-projection on a fixed random vector. On a mismatch the test reports the
-relative L2 change these two numbers imply (a lower bound on the true one):
-a few 1e-16 is a reordered sum, anything larger is a changed result.
+targets, recorded in PINNED_PLATFORM: on any other platform the digest
+tests skip and say what differs. Each kind of output also pins its L2 norm
+and its projection on a fixed random vector. On a mismatch the test reports
+the relative L2 change these two numbers imply (a lower bound on the true
+one): a few 1e-16 is a reordered sum, anything larger is a changed result.
+So on every platform each row's norms and projections must also lie within
+PORTABLE_BOUND of the pins.
 
 Run as a script to print the current platform and values
 (`python tests/test_numerics.py`).
@@ -35,6 +37,10 @@ from crossfit.model import PE_MODES, STRATEGIES, CrossFiTModel, fuse_decisions
 from crossfit.synthdata import ArrayDataset, generate_dataset
 
 KINDS = ("logits", "loss", "gradients")
+
+# relative L2 change a reordered sum stays far below, and a changed result
+# far above
+PORTABLE_BOUND = 1e-12
 
 # what the digests depend on besides the code; see `_platform`
 PINNED_PLATFORM = {
@@ -272,9 +278,6 @@ def _relative_change(got, want) -> float:
 
 @pytest.fixture(scope="module")
 def one_thread_fingerprints():
-    if _platform() != PINNED_PLATFORM:
-        pytest.skip(f"digests pinned on {PINNED_PLATFORM}, this platform is {_platform()}; "
-                    "regenerate them with `python tests/test_numerics.py`")
     src = os.path.dirname(os.path.dirname(ad.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -283,12 +286,41 @@ def one_thread_fingerprints():
     return json.loads(out.stdout)["rows"]
 
 
+def _moved(got, want, changed) -> list[str]:
+    """Each kind whose fingerprints `changed`, with its relative L2 change."""
+    return [f"{kind} (relative L2 change >= {_relative_change(g, w):.1e})"
+            for kind, g, w in zip(KINDS, got, want) if changed(g, w)]
+
+
 @pytest.mark.parametrize("row", _rows())
 def test_float64_step_matches_pinned_digest(one_thread_fingerprints, row):
-    got, want = one_thread_fingerprints[row], PINNED[row]
-    moved = [f"{kind} (relative L2 change >= {_relative_change(g, w):.1e})"
-             for kind, g, w in zip(KINDS, got, want) if g[0] != w[0]]
+    if _platform() != PINNED_PLATFORM:
+        pytest.skip(f"digests pinned on {PINNED_PLATFORM}, this platform is {_platform()}; "
+                    "regenerate them with `python tests/test_numerics.py`")
+    moved = _moved(one_thread_fingerprints[row], PINNED[row], lambda g, w: g[0] != w[0])
     assert not moved, f"{row}: " + ", ".join(moved)
+
+
+@pytest.mark.parametrize("row", _rows())
+def test_float64_step_near_pinned_norms(one_thread_fingerprints, row):
+    moved = _moved(one_thread_fingerprints[row], PINNED[row],
+                   lambda g, w: _relative_change(g, w) > PORTABLE_BOUND)
+    assert not moved, f"{row}: " + ", ".join(moved)
+
+
+def test_other_platform_checks_norms_not_digests(one_thread_fingerprints, monkeypatch):
+    """Off the pinned platform the digests skip, and the norms still catch a
+    result changed by far less than float32 could show."""
+    monkeypatch.setattr(sys.modules[__name__], "_platform",
+                        lambda: dict(PINNED_PLATFORM, numpy="0.0"))
+    row = _rows()[0]
+    with pytest.raises(pytest.skip.Exception, match="this platform is .*'numpy': '0.0'"):
+        test_float64_step_matches_pinned_digest(one_thread_fingerprints, row)
+    test_float64_step_near_pinned_norms(one_thread_fingerprints, row)
+    (digest, norm, projection), *rest = one_thread_fingerprints[row]
+    nudged = {row: [(digest, norm * (1 + 1e-10), projection), *rest]}
+    with pytest.raises(AssertionError, match=r"logits \(relative L2 change >= 1.0e-10\)"):
+        test_float64_step_near_pinned_norms(nudged, row)
 
 
 if __name__ == "__main__":
