@@ -8,7 +8,7 @@ config, data or checkpoint, or a model whose outputs overflow).
 
 Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
 command-line flags override file values, file values override defaults:
-the config dataclasses' field defaults, and 0.8 for `data.train_frac`.
+the config dataclasses' field defaults, plus one for `data.train_frac`.
 `compare` trains one model per seed at each point of a grid over config
 keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.
 """
