@@ -42,7 +42,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "ContractError", "DegenerateRowError",
     "LabelError", "tensor", "parameter", "backward", "no_grad", "active_tape",
     "set_default_dtype", "default_dtype", "default_dtype_scope", "make_rng",
-    "add", "sub", "mul", "scale", "neg", "matmul", "relu", "gelu",
+    "add", "mul", "scale", "matmul", "relu", "gelu",
     "softmax_lastdim", "layer_norm", "conv2d", "check_conv2d_geometry",
     "cross_entropy_logits",
     "sum_", "mean_", "maximum", "concat", "reshape", "transpose",
@@ -183,31 +183,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the named functions carry the contracts
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
 
@@ -307,7 +282,7 @@ def backward(loss: Tensor) -> None:
             if gi is None or s is None:
                 continue
             if s.grad is None:
-                # add/sub at equal shapes, reshape, transpose and concat hand
+                # add at equal shapes, reshape, transpose and concat hand
                 # back g or a view of it; every other rule returns a fresh array.
                 # The node has dropped g, so one slot may own a view of all of
                 # g, in whatever layout; a second alias, or a part of g, is copied.
@@ -356,18 +331,6 @@ def add(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = _coerce(a, _DEFAULT_DTYPE)
-    b = _coerce(b, a.dtype)
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _record(out, (a, b), bw)
-
-
 def mul(a: Tensor, b) -> Tensor:
     a = _coerce(a, _DEFAULT_DTYPE)
     b = _coerce(b, a.dtype)
@@ -388,10 +351,6 @@ def scale(x: Tensor, s: float) -> Tensor:
         return (g * s,)
 
     return _record(out, (x,), bw)
-
-
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -494,10 +453,13 @@ def gelu(x: Tensor) -> Tensor:
     phi += 1.0
     phi *= 0.5
     out = xd * phi
+    slope = None
+    if _TAPE.recording and x.requires_grad:
+        # d/dx x·Phi(x), taken now so that backward keeps one array
+        slope = phi + xd * (np.exp(-0.5 * xd * xd) * _INV_SQRT2PI)
 
     def bw(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (phi + xd * pdf),)
+        return (g * slope,)
 
     return _record(out.astype(x.dtype, copy=False), (x,), bw)
 

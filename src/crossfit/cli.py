@@ -173,6 +173,8 @@ def _load_split(data_dir: str, num_classes: int, frac: float):
 def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     for flag, rate in (("--split-evidence-rate", args.split_evidence_rate),
                        ("--artifact-rate", args.artifact_rate)):
         if not 0.0 <= rate <= 1.0:

@@ -1,14 +1,16 @@
 """End-to-end two-field grading model and the baseline fusion strategies.
 
-The full pipeline encodes both fields with one shared CNN, masks redundant
-tokens, projects to transformer width, adds per-field position embeddings,
-runs the cross-field attention stack, pools each field to a global vector,
-fuses by elementwise max, and classifies.
-
-Baselines reuse the pieces: feature-level strategies pool the raw encoder
-maps and fuse before one classifier (no attention parameters exist at all);
-decision-level strategies train a single-field network on both fields with
-the shared label and combine the two predictions only at inference.
+Every strategy runs one forward path. It encodes each field it reads (one
+for `single_field_*`, both otherwise) with one shared CNN into tokens and
+mask bits. Crossfit alone then projects the tokens to transformer width,
+adds per-field position embeddings and runs the cross-field attention stack
+over them. Each field's tokens are pooled to a global vector over its
+unmasked tokens. Decision-level strategies classify each field's vector
+with one shared head, trained on the shared label, and combine the two
+predictions only at inference; every other strategy fuses the vectors
+(elementwise max for crossfit) before one head. A model owns only the
+parameters its strategy reads: the feature-level baselines have no
+attention parameters at all.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ STRATEGIES = ("crossfit", "feat_max", "feat_avg", "feat_concat",
               "pred_avg", "pred_max", "single_field_1", "single_field_2")
 PE_MODES = ("aligned", "regular", "learnable", "none")
 
-_FEATURE_STRATEGIES = ("feat_max", "feat_avg", "feat_concat")
 _SINGLE_STRATEGIES = ("single_field_1", "single_field_2")
+_DECISION_STRATEGIES = ("pred_avg", "pred_max")
 
 
 @dataclass(frozen=True)
@@ -137,21 +139,16 @@ class CrossFiTModel:
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self.parameters())
 
-    # -- internal batched pipeline ------------------------------------------
+    # -- the batched forward path ------------------------------------------
 
-    def _encode_fields(self, imgs1: np.ndarray, imgs2: np.ndarray):
-        """Channels-last [0,1] image batches -> feature tensors + mask bits."""
-        dt = ad.default_dtype()
-        # NCHW views of the channels-last batches, cast only where the dtype
+    def _encode(self, imgs: np.ndarray):
+        """One field's channels-last [0,1] image batch -> (b, l, d_e) tokens
+        and (b, l) mask bits, or None when masking is off."""
+        # an NCHW view of the channels-last batch, cast only where the dtype
         # differs: the encoder's centering is the first pass over the pixels
-        x1 = self.encoder(Tensor(np.moveaxis(imgs1, 3, 1).astype(dt, copy=False)))
-        x2 = self.encoder(Tensor(np.moveaxis(imgs2, 3, 1).astype(dt, copy=False)))
-        m1 = m2 = None
-        if self.cfg.mask_enabled:
-            p = self.cfg.cfa.threshold
-            m1 = masks_from_features(x1.data, p)
-            m2 = masks_from_features(x2.data, p)
-        return x1, x2, m1, m2
+        x = self.encoder(Tensor(np.moveaxis(imgs, 3, 1).astype(ad.default_dtype(), copy=False)))
+        m = masks_from_features(x.data, self.cfg.cfa.threshold) if self.cfg.mask_enabled else None
+        return self._flatten(x), m
 
     def _flatten(self, x: Tensor) -> Tensor:
         b, h, w, d = x.shape
@@ -183,44 +180,30 @@ class CrossFiTModel:
     def forward_batch(self, imgs1, imgs2, od1, od2, record: bool = False):
         """Logits for the configured strategy.
 
-        Returns (logits, extras) where extras carries masks and any attention
-        record; decision strategies return a (field1, field2) logits pair.
+        Returns (logits, extras) where extras carries the mask bits of each
+        field read and, for crossfit, the attention record; decision
+        strategies return a (field1, field2) logits pair.
         """
         cfg = self.cfg
         if imgs1.shape != imgs2.shape:
             raise ShapeError(f"field batches disagree: {imgs1.shape} vs {imgs2.shape}")
-        extras = {}
-        if cfg.strategy == "crossfit":
-            x1, x2, m1, m2 = self._encode_fields(imgs1, imgs2)
-            extras["masks"] = (m1, m2)
-            f1 = self.proj(self._flatten(x1))
-            f2 = self.proj(self._flatten(x2))
-            pe1, pe2 = self._position_embeddings(od1, od2)
-            g1, g2, rec = self.stack(f1, f2, pe1, pe2, m1, m2, record=record)
-            extras["attention"] = rec
-            fused = ad.maximum(_masked_mean(g1, m1), _masked_mean(g2, m2))
-            return self.head(fused), extras
-        if cfg.strategy in _FEATURE_STRATEGIES:
-            x1, x2, m1, m2 = self._encode_fields(imgs1, imgs2)
-            extras["masks"] = (m1, m2)
-            v1 = _masked_mean(self._flatten(x1), m1)
-            v2 = _masked_mean(self._flatten(x2), m2)
-            return self.head(fuse(v1, v2, cfg.strategy)), extras
         if cfg.strategy in _SINGLE_STRATEGIES:
-            imgs = imgs1 if cfg.strategy == "single_field_1" else imgs2
-            dt = ad.default_dtype()
-            x = self.encoder(Tensor(np.moveaxis(imgs, 3, 1).astype(dt, copy=False)))
-            m = None
-            if cfg.mask_enabled:
-                m = masks_from_features(x.data, cfg.cfa.threshold)
-            extras["masks"] = (m,)
-            return self.head(_masked_mean(self._flatten(x), m)), extras
-        # decision strategies: independent single-field logits, shared weights
-        x1, x2, m1, m2 = self._encode_fields(imgs1, imgs2)
-        extras["masks"] = (m1, m2)
-        l1 = self.head(_masked_mean(self._flatten(x1), m1))
-        l2 = self.head(_masked_mean(self._flatten(x2), m2))
-        return (l1, l2), extras
+            fields = (imgs1 if cfg.strategy == "single_field_1" else imgs2,)
+        else:
+            fields = (imgs1, imgs2)
+        tokens, masks = zip(*(self._encode(imgs) for imgs in fields))
+        extras = {"masks": masks}
+        if cfg.strategy == "crossfit":
+            f1, f2 = (self.proj(t) for t in tokens)
+            pe1, pe2 = self._position_embeddings(od1, od2)
+            g1, g2, extras["attention"] = self.stack(f1, f2, pe1, pe2, *masks, record=record)
+            tokens = (g1, g2)
+        pooled = [_masked_mean(t, m) for t, m in zip(tokens, masks)]
+        if cfg.strategy in _DECISION_STRATEGIES:
+            return tuple(self.head(v) for v in pooled), extras
+        if len(pooled) == 1:
+            return self.head(pooled[0]), extras
+        return self.head(fuse(*pooled, cfg.strategy)), extras
 
     def loss_batch(self, imgs1, imgs2, od1, od2, labels) -> Tensor:
         out, _ = self.forward_batch(imgs1, imgs2, od1, od2)

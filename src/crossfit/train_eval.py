@@ -544,6 +544,8 @@ def load_checkpoint(path: str) -> Checkpoint:
                 or length != math.prod(shape) * 4
                 or off + length > len(payload)):
             raise CheckpointError(f"{path}: corrupt index entry for tensor {name}")
+        if name in tensors:
+            raise CheckpointError(f"{path}: index names tensor {name} twice")
         try:
             arr = np.frombuffer(payload[off:off + length], dtype="<f4").reshape(shape)
         except ValueError:  # an extent numpy cannot index, beside a 0 extent

@@ -286,10 +286,6 @@ def _ownership_cases():
         x, y = parameter(a), parameter(b)
         return ad.sum_(ad.mul(ad.add(x, y), tensor(c))), {x: c, y: c}
 
-    def sub_equal_shapes():
-        x, y = parameter(a), parameter(b)
-        return ad.sum_(ad.mul(ad.sub(x, y), tensor(c))), {x: c, y: -c}
-
     def reshape():
         x, y = parameter(a), parameter(b)
         s = ad.add(ad.reshape(x, (3, 2)), ad.reshape(y, (3, 2)))
@@ -313,8 +309,8 @@ def _ownership_cases():
         second = ad.sum_(ad.mul(ad.add(x, y), tensor(c)))
         return ad.add(first, second), {x: c + d, y: c}
 
-    return {f.__name__: f for f in (add_self, add_equal_shapes, sub_equal_shapes,
-                                    reshape, transpose, concat, leaf_in_two_ops)}
+    return {f.__name__: f for f in (add_self, add_equal_shapes, reshape, transpose,
+                                    concat, leaf_in_two_ops)}
 
 
 @pytest.mark.parametrize("case", sorted(_ownership_cases()))
@@ -527,8 +523,9 @@ def test_conv2d_frees_its_padded_input():
 
 
 def test_tape_keeps_what_rules_read_until_backward():
-    """A matmul operand and gelu's input outlive their tensors until backward
-    has run, then go with the tape."""
+    """A matmul operand outlives its tensor until backward has run, then goes
+    with the tape. gelu's input goes as soon as the forward pass drops it:
+    gelu's rule keeps the slope it computed, not the input."""
     rng = make_rng(12)
     w = parameter(rng.normal(size=(3, 5)))
     x = ad.scale(parameter(rng.normal(size=(4, 3))), 2.0)
@@ -536,7 +533,7 @@ def test_tape_keeps_what_rules_read_until_backward():
     refs = [weakref.ref(_owner(x.data)), weakref.ref(_owner(h.data))]
     loss = ad.sum_(ad.gelu(h))
     del x, h
-    assert [r() is not None for r in refs] == [True, True]
+    assert [r() is not None for r in refs] == [True, False]
     backward(loss)
     assert [r() is not None for r in refs] == [False, False]
 
@@ -568,8 +565,8 @@ def _reachable_from_tape() -> tuple[dict[int, np.ndarray], int]:
 
 def test_tape_after_cli_config_forward_stays_in_budget():
     """One float32 forward at the CLI's model config (batch 16) leaves at most
-    11 MiB of non-parameter arrays on the tape (23.1 MiB when every op's
-    inputs and output stayed on it), and no tensor."""
+    9 MiB of non-parameter arrays on the tape (8.59 MiB measured; 23.1 MiB when
+    every op's inputs and output stayed on it), and no tensor."""
     cfg = CrossFiTConfig(
         encoder=EncoderConfig(stage_channels=(192,), stride=16, kernel=15, input_size=64),
         cfa=CfaConfig(layers=3, heads=4, d_t=64, mlp_ratio=4, threshold=0.06,
@@ -588,7 +585,7 @@ def test_tape_after_cli_config_forward_stays_in_budget():
     activation_bytes = sum(a.nbytes for k, a in owners.items() if k not in params)
     assert loss.dtype == np.float32
     assert tensors == 0
-    assert activation_bytes <= 11 * 2**20
+    assert activation_bytes <= 9 * 2**20
 
 
 def test_make_rng_deterministic():

@@ -81,6 +81,12 @@ class TestGenData:
     def test_n_zero_is_usage_error(self, tmp_path):
         assert run_cli("gen-data", "--out", str(tmp_path / "x"), "--n", "0") == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("gen-data", "--out", str(out), "--n", "2", "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--split-evidence-rate", "nan"),
                                              ("--split-evidence-rate", "2"),
                                              ("--artifact-rate", "-1")])

@@ -10,7 +10,7 @@ from crossfit.autodiff import ContractError, Tensor, gradcheck, make_rng
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import (
-    CrossFiTConfig, CrossFiTModel, _masked_mean, fuse, fuse_decisions, softmax_np,
+    STRATEGIES, CrossFiTConfig, CrossFiTModel, _masked_mean, fuse, fuse_decisions, softmax_np,
 )
 
 
@@ -152,6 +152,27 @@ def test_single_field_ignores_other_field():
         a, _ = model.forward_batch(i1, i2, od1, od2)
         b, _ = model.forward_batch(i1, np.zeros_like(i2), od1, od2)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_forward_encodes_each_field_it_reads_once(strategy):
+    """One encoder call per field read, on that field's images. The digests
+    cannot see a second encode whose output never reaches the logits."""
+    model = CrossFiTModel(make_rng(13), micro_cfg(strategy=strategy))
+    encoder, seen = model.encoder, []
+
+    def counting_encoder(x):
+        seen.append(x.data)
+        return encoder(x)
+
+    model.encoder = counting_encoder
+    i1, i2, od1, od2 = rand_pair(14, n=2)
+    with ad.no_grad():
+        model.forward_batch(i1, i2, od1, od2)
+    want = {"single_field_1": [i1], "single_field_2": [i2]}.get(strategy, [i1, i2])
+    assert len(seen) == len(want)
+    for got, imgs in zip(seen, want):
+        np.testing.assert_array_equal(got, np.moveaxis(imgs, 3, 1))
 
 
 # ---------------------------------------------------------------------------

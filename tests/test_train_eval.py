@@ -457,6 +457,22 @@ def test_checkpoint_corrupt_index_names_tensor(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_tensor_named_twice_rejected(tmp_path):
+    """A second index entry under a taken name would replace the first."""
+    path = str(tmp_path / "d.ckpt")
+    save_checkpoint(Checkpoint.from_model(micro_model(26, strategy="feat_max")), path)
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[6:10])
+    header = json.loads(blob[10:10 + hlen].decode())
+    twin = header["tensors"][1]
+    header["tensors"].append(dict(twin))
+    new_header = json.dumps(header).encode()
+    Path(path).write_bytes(blob[:6] + struct.pack("<I", len(new_header))
+                           + new_header + blob[10 + hlen:])
+    with pytest.raises(CheckpointError, match=f"names tensor {twin['name']} twice"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("shape", lambda shape: [-shape[0], -shape[1], *shape[2:]]),   # same product
     ("shape", lambda shape: ["4", *shape[1:]]),
