@@ -10,12 +10,23 @@ Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
 command-line flags override file values, file values override defaults:
 the config dataclasses' field defaults, plus one for `data.train_frac`.
 `compare` trains one model per seed at each point of a grid over config
-keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.
+keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.  It
+runs each cell in a spawned worker process, as many workers as there are
+usable CPUs (never more than cells), and each worker runs OpenBLAS on one
+thread: the thread count changes BLAS's float summation order, so a report
+(all but its `workers` count) is the same on any host.  `train`, `eval` and
+`inspect` keep the library's default thread count.  The `train` log, the
+`eval` report and each `compare` cell record the BLAS thread count they ran
+with (null where the library cannot be asked).
+
+Output paths the OS would refuse (a missing directory, a file where a
+directory belongs, or the reverse) are refused before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import multiprocessing
@@ -74,6 +85,8 @@ def _load_config_file(path: str | None) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise UsageError(f"config file {path}: {err.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise UsageError(f"config file {path}: bad JSON ({err})") from None
     if not isinstance(raw, dict):
@@ -166,6 +179,75 @@ def _load_split(data_dir: str, num_classes: int, frac: float):
     return _split(sd.load_dataset(data_dir, num_classes=num_classes), frac)
 
 
+def _check_out_file(flag: str, path: str) -> None:
+    """Refuse, before any work, a file the OS would not let us write."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"is in no directory: {parent} is missing or a file"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise UsageError(f"{flag} {path} {problem}")
+
+
+def _check_out_dir(flag: str, path: str) -> None:
+    """Refuse, before any work, a directory the OS would not let us make or
+    fill: its nearest existing ancestor (or itself) must be a writable one."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise UsageError(f"{flag} {path}: {head} is not a directory")
+    if not os.access(head, os.W_OK):
+        raise UsageError(f"{flag} {path}: {head} is not writable")
+
+
+def _read_checkpoint(path: str):
+    try:
+        return load_checkpoint(path)
+    except FileNotFoundError:
+        raise UsageError(f"checkpoint not found: {path}") from None
+    except OSError as err:
+        raise UsageError(f"checkpoint {path}: {err.strerror}") from None
+
+
+def _openblas(name: str):
+    """`name` ("get_num_threads", "set_num_threads") from the OpenBLAS that
+    numpy loaded, or None where no such library or symbol is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS in this process, or None."""
+    fn = _openblas("get_num_threads")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return int(fn())
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: this process's BLAS runs on one thread."""
+    fn = _openblas("set_num_threads")
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -189,6 +271,7 @@ def cmd_gen_data(args) -> int:
         if not args.force:
             raise UsageError(f"{out} exists and is not empty (use --force to replace)")
         shutil.rmtree(out)
+    _check_out_dir("--out", out)
     samples = sd.generate_dataset(args.seed, args.n, cfg)
     sd.write_dataset(samples, out)
     summary = {"out": out, "n": args.n, "seed": args.seed, "size": args.size}
@@ -204,6 +287,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     model_cfg, train_cfg, frac = _build_configs(cfg)
+    log_path = args.out + ".log.json"
+    for path in (args.out, log_path):
+        _check_out_file("--out", path)
     train_set, _ = _load_split(args.data, model_cfg.num_classes, frac)
     _check_dataset_fit(train_set, model_cfg)
 
@@ -219,9 +305,9 @@ def cmd_train(args) -> int:
         model = CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
         ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
     save_checkpoint(ckpt, args.out)
-    log_path = args.out + ".log.json"
     with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(_g6({"config": cfg, "epochs": epoch_log}), fh, indent=1)
+        json.dump(_g6({"config": cfg, "blas_threads": _blas_threads(), "epochs": epoch_log}),
+                  fh, indent=1)
     _emit({"checkpoint": args.out, "log": log_path,
            "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
            "train_eyes": len(train_set)})
@@ -234,10 +320,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_train_frac("--train-frac", args.train_frac)
-    try:
-        ckpt = load_checkpoint(args.ckpt)
-    except FileNotFoundError:
-        raise UsageError(f"checkpoint not found: {args.ckpt}") from None
+    _check_out_file("--report", args.report)
+    ckpt = _read_checkpoint(args.ckpt)
     with ad.default_dtype_scope(np.float32):
         model = build_model_from_checkpoint(ckpt)
         data = sd.load_dataset(args.data, num_classes=model.cfg.num_classes)
@@ -248,6 +332,7 @@ def cmd_eval(args) -> int:
         report = evaluate(model, data).to_dict()
     report["subset"] = args.subset
     report["data"] = args.data
+    report["blas_threads"] = _blas_threads()
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(report), fh, indent=1)
     auc = "---" if report["macro_auc"] is None else f"{report['macro_auc']:.6g}"
@@ -262,8 +347,9 @@ def cmd_eval(args) -> int:
 
 
 def _train_eval_cell(payload: tuple) -> dict:
-    """One (grid point, seed) cell, isolated enough to run in a worker process.
-    A cell whose training diverged has null metrics and says why."""
+    """One (grid point, seed) cell, run in a worker process. It records the
+    worker's BLAS thread count; a cell whose training diverged has null
+    metrics and says why."""
     data_dir, base_cfg, point, seed = payload
     model_cfg, train_cfg, frac = _build_configs({**base_cfg, **point, "train.seed": seed})
     train_set, test_set = _load_split(data_dir, model_cfg.num_classes, frac)
@@ -273,31 +359,30 @@ def _train_eval_cell(payload: tuple) -> dict:
         try:
             train(model, train_set, train_cfg)
         except TrainingDiverged as err:
-            return {"seed": seed, **dict.fromkeys(_METRICS), "diverged": str(err)}
+            return {"seed": seed, "blas_threads": _blas_threads(),
+                    **dict.fromkeys(_METRICS), "diverged": str(err)}
         grades, probs = predict_dataset(model, test_set)
     m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
     split = test_set.split_evidence
     hits = grades[split] == test_set.grades[split]
     split_acc = float(hits.mean()) if hits.size else None
-    return {"seed": seed, "kappa": m.kappa, "accuracy": m.accuracy,
-            "macro_auc": m.macro_auc, "split_acc": split_acc}
+    return {"seed": seed, "blas_threads": _blas_threads(), "kappa": m.kappa,
+            "accuracy": m.accuracy, "macro_auc": m.macro_auc, "split_acc": split_acc}
 
 
-def _worker_count(n_cells: int) -> int:
-    raw = os.environ.get("CROSSFIT_THREADS", "1")
+def _usable_cpus() -> int:
     try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"CROSSFIT_THREADS={raw!r} is not an integer") from None
-    return max(1, min(cap, n_cells))
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
-def _run_cells(payloads: list) -> list:
-    workers = _worker_count(len(payloads))
-    if workers == 1:
-        return [_train_eval_cell(p) for p in payloads]
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        return pool.map(_train_eval_cell, payloads)
+def _run_cells(payloads: list, workers: int) -> list:
+    """Each cell in one of `workers` spawned processes that run one BLAS
+    thread; this process's thread count and environment are left alone."""
+    with multiprocessing.get_context("spawn").Pool(
+            workers, initializer=_one_blas_thread) as pool:
+        return pool.map(_train_eval_cell, payloads, chunksize=1)
 
 
 def _comma_list(flag: str, text: str, parse=str) -> list:
@@ -374,15 +459,18 @@ def cmd_compare(args) -> int:
     points = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     for point, seed in itertools.product(points, seeds):  # all valid before any trains
         _build_configs({**base, **point, "train.seed": seed})
+    _check_out_file("--report", args.report)
     labels = [{"strategy": p.get("model.strategy", base["model.strategy"]),
                **{k: v for k, v in p.items() if k != "model.strategy"}} for p in points]
 
     n = len(seeds)
-    cells = _run_cells([(args.data, base, p, seed) for p in points for seed in seeds])
+    payloads = [(args.data, base, p, seed) for p in points for seed in seeds]
+    workers = min(_usable_cpus(), len(payloads))
+    cells = _run_cells(payloads, workers)
     cells = [{**labels[i // n], **c} for i, c in enumerate(cells)]
     rows = [{**label, **{k: _mean(c[k] for c in cells[i * n:(i + 1) * n]) for k in _METRICS}}
             for i, label in enumerate(labels)]
-    table = {"seeds": seeds, "rows": rows, "cells": cells}
+    table = {"seeds": seeds, "workers": workers, "rows": rows, "cells": cells}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(table), fh, indent=1)
     _print_table(rows)
@@ -399,10 +487,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        ckpt = load_checkpoint(args.ckpt)
-    except FileNotFoundError:
-        raise UsageError(f"checkpoint not found: {args.ckpt}") from None
+    _check_out_dir("--out", args.out)
+    ckpt = _read_checkpoint(args.ckpt)
     with ad.default_dtype_scope(np.float32):
         model = build_model_from_checkpoint(ckpt)
         if model.cfg.strategy != "crossfit":

@@ -682,11 +682,13 @@ _MANIFEST_KEYS = ("eye_id", "field1_path", "field2_path", "od1_x", "od1_y",
 
 
 def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
+    """The dataset at `data_dir`, every manifest record and PPM checked. Each
+    field's pixels are held as 8-bit until one float32 array takes them all."""
     manifest = os.path.join(data_dir, "manifest.jsonl")
-    if not os.path.exists(manifest):
+    if not os.path.isfile(manifest):
         raise DataError(f"no manifest at {manifest}")
     root = os.path.abspath(data_dir)
-    samples = []
+    records, pixels1, pixels2 = [], [], []
     seen_ids: set[int] = set()
     try:
         with open(manifest, encoding="utf-8") as fh:
@@ -733,17 +735,28 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
             if not os.path.isfile(p):
                 raise DataError(f"eye {eye}: missing image file {rec[k]}")
             paths.append(p)
-        img1 = read_ppm(paths[0]).astype(np.float32) / 255.0
-        img2 = read_ppm(paths[1]).astype(np.float32) / 255.0
-        want = samples[0].image1.shape if samples else img1.shape
+        img1, img2 = read_ppm(paths[0]), read_ppm(paths[1])
+        want = pixels1[0].shape if pixels1 else img1.shape
         for k, img in (("field1_path", img1), ("field2_path", img2)):
             if img.shape != want:
                 raise DataError(f"eye {eye}: {k} is {img.shape[1]}x{img.shape[0]}, "
                                 f"expected {want[1]}x{want[0]} like the other images")
-        samples.append(TwoFieldSample(
-            img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
-            RelCoord(rec["od2_x"], rec["od2_y"]), int(rec["grade"]),
-            int(rec["eye_id"]), rec["split_evidence"]))
-    if not samples:
+        records.append(rec)
+        pixels1.append(img1)
+        pixels2.append(img2)
+    if not records:
         raise DataError(f"{manifest}: no records")
-    return ArrayDataset.from_samples(samples)
+    return ArrayDataset(
+        images1=_unit_floats(pixels1), images2=_unit_floats(pixels2),
+        od1=np.array([[r["od1_x"], r["od1_y"]] for r in records]),
+        od2=np.array([[r["od2_x"], r["od2_y"]] for r in records]),
+        grades=np.array([r["grade"] for r in records], dtype=np.int64),
+        split_evidence=np.array([r["split_evidence"] for r in records], dtype=bool),
+        eye_ids=np.array([r["eye_id"] for r in records], dtype=np.int64))
+
+
+def _unit_floats(pixels: list) -> np.ndarray:
+    """8-bit images -> one (n, S, S, 3) float32 array in [0, 1]."""
+    out = np.stack(pixels, dtype=np.float32)
+    out /= 255.0
+    return out

@@ -1,11 +1,16 @@
-"""End-to-end command tests: every subcommand through main(), no subprocesses."""
+"""End-to-end command tests: every subcommand through main(). `compare` runs
+its cells in spawned worker processes; one test runs the command line in a
+child process pinned to one CPU."""
 
 import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +135,7 @@ class TestTrain:
             log = json.load(fh)
         assert len(log["epochs"]) == 2
         assert all(np.isfinite(e["loss"]) for e in log["epochs"])
+        assert log["blas_threads"] == cli._blas_threads()
 
     def test_epoch_lines_are_json(self, data_dir, tiny_config, tmp_path, capsys):
         out = str(tmp_path / "m.bin")
@@ -298,6 +304,7 @@ class TestEval:
                     "confusion", "n_samples"):
             assert key in rep
         assert rep["n_samples"] == 24
+        assert rep["blas_threads"] == cli._blas_threads()
 
     def test_confusion_consistent_with_accuracy(self, trained_ckpt, data_dir, tmp_path):
         report = str(tmp_path / "r.json")
@@ -529,8 +536,7 @@ class TestCompareGrid:
         """Run a compare that must exit 2 before any cell trains; its stderr."""
         def no_training(*_args, **_kwargs):
             raise AssertionError("a cell trained")
-        monkeypatch.setenv("CROSSFIT_THREADS", "1")
-        monkeypatch.setattr("crossfit.cli.train", no_training)
+        monkeypatch.setattr("crossfit.cli._run_cells", no_training)
         report = tmp_path / "x.json"
         assert run_cli("compare", "--seeds", "1", *argv, "--report", str(report)) == 2
         assert not report.exists()
@@ -569,13 +575,19 @@ class TestCompareGrid:
         assert message in err and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverged_cell_keeps_the_report(self, data_dir, tiny_config, tmp_path, capsys):
+    def test_diverged_cell_keeps_the_report(self, data_dir, tiny_config, tmp_path, capfd,
+                                            monkeypatch):
+        # The cells run in worker processes: capfd reads their stderr, and the
+        # workers turn a RuntimeWarning into an error as the marker does here.
+        # The tiny test split leaves class AUCs undefined; that UserWarning is
+        # expected, as the 'AUC undefined' warnings of every other test are.
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning,ignore:class:UserWarning")
         report = tmp_path / "grid.json"
-        capsys.readouterr()
+        capfd.readouterr()
         assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
                        "--strategies", "feat_max", "--vary", "train.lr=0.01,1e9",
                        "--seeds", "1,2", "--report", str(report)) == 1
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("training diverged: 2 of 4 cells") and err.count("\n") == 1
         table = json.loads(report.read_text())
         finished, diverged = table["rows"]
@@ -711,9 +723,7 @@ class TestDtypeScope:
     """Commands train and evaluate in float32 but must not leak it: later
     float64 code (gradchecks, exact oracles) reads the same process default."""
 
-    def test_success_restores_float64(self, trained_ckpt, data_dir, tiny_config,
-                                      tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSFIT_THREADS", "1")
+    def test_success_restores_float64(self, trained_ckpt, data_dir, tiny_config, tmp_path):
         runs = [
             ("train", "--data", data_dir, "--config", tiny_config,
              "--out", str(tmp_path / "m.bin"), "--epochs", "1"),
@@ -741,6 +751,89 @@ class TestDtypeScope:
         for argv in runs:
             assert run_cli(*argv) == 2, argv[0]
             assert ad.default_dtype() is np.float64, argv[0]
+
+
+class TestRefusedPaths:
+    """An output or input path the OS would refuse exits 2 with one line,
+    before any eye is generated, trained on or evaluated."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "{data}", "--config", "{cfg}", "--out", "{tmp}/nodir/m.bin"],
+         "--out {tmp}/nodir/m.bin is in no directory"),
+        (["train", "--data", "{data}", "--config", "{cfg}", "--out", "{tmp}"],
+         "--out {tmp} is a directory"),
+        (["train", "--data", "{data}", "--config", "{tmp}", "--out", "{tmp}/m.bin"],
+         "config file {tmp}: Is a directory"),
+        (["compare", "--data", "{data}", "--config", "{cfg}", "--strategies", "feat_max",
+          "--seeds", "1", "--report", "{tmp}/nodir/c.json"],
+         "--report {tmp}/nodir/c.json is in no directory"),
+        (["eval", "--data", "{data}", "--ckpt", "{ckpt}", "--report", "{tmp}/nodir/r.json"],
+         "--report {tmp}/nodir/r.json is in no directory"),
+        (["eval", "--data", "{data}", "--ckpt", "{tmp}", "--report", "{tmp}/r.json"],
+         "checkpoint {tmp}: Is a directory"),
+        (["gen-data", "--out", "{tmp}/file", "--n", "2"],
+         "--out {tmp}/file: {tmp}/file is not a directory"),
+        (["gen-data", "--out", "{tmp}/file/eyes", "--n", "2"],
+         "--out {tmp}/file/eyes: {tmp}/file is not a directory"),
+        (["inspect", "--ckpt", "{ckpt}", "--data", "{data}", "--eye", "0",
+          "--out", "{tmp}/file"], "--out {tmp}/file: {tmp}/file is not a directory"),
+    ], ids=["train-out-no-dir", "train-out-is-dir", "train-config-is-dir",
+            "compare-report-no-dir", "eval-report-no-dir", "eval-ckpt-is-dir",
+            "gen-data-out-is-file", "gen-data-out-under-file", "inspect-out-is-file"])
+    def test_exits_2_before_any_work(self, data_dir, tiny_config, trained_ckpt, tmp_path,
+                                     monkeypatch, capsys, argv, message):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work ran")
+        for name in ("crossfit.cli.train", "crossfit.cli._run_cells", "crossfit.cli.evaluate",
+                     "crossfit.cli.finite_outputs", "crossfit.synthdata.generate_dataset"):
+            monkeypatch.setattr(name, no_work)
+        (tmp_path / "file").write_text("not a directory")
+        names = {"data": data_dir, "cfg": tiny_config, "ckpt": trained_ckpt, "tmp": tmp_path}
+        capsys.readouterr()
+        assert run_cli(*(a.format(**names) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(**names)) and err.count("\n") == 1
+        assert not (tmp_path / "nodir").exists()
+
+
+class TestBlasThreads:
+    """`compare` runs each cell on one BLAS thread in a spawned worker, so the
+    host reaches its report only as the `workers` count."""
+
+    def test_cells_run_one_thread_and_leave_the_parent(self, data_dir, tiny_config, tmp_path):
+        threads, env = cli._blas_threads(), dict(os.environ)
+        report = tmp_path / "c.json"
+        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--strategies", "feat_max", "--seeds", "1,2",
+                       "--report", str(report)) == 0
+        table = json.loads(report.read_text())
+        assert table["workers"] == min(2, cli._usable_cpus())
+        one = None if threads is None else 1  # null where OpenBLAS cannot be asked
+        assert [c["blas_threads"] for c in table["cells"]] == [one, one]
+        assert cli._blas_threads() == threads and dict(os.environ) == env
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_report_is_the_same_on_one_cpu(self, data_dir, tiny_config, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def report(name: str, preexec_fn=None) -> str:
+            path = tmp_path / name
+            subprocess.run([sys.executable, "-m", "crossfit.cli", "compare",
+                            "--data", data_dir, "--config", tiny_config,
+                            "--seeds", "1,2", "--report", str(path)],
+                           env=env, preexec_fn=preexec_fn, capture_output=True,
+                           timeout=300, check=True)
+            return path.read_text()
+
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        pinned, free = report("pinned.json", one_cpu), report("free.json")
+        assert '\n "workers": 1,\n' in pinned
+        drop_workers = re.compile(r'\n "workers": \d+,')
+        assert drop_workers.sub("", pinned) == drop_workers.sub("", free)
 
 
 _SMALL_INTS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3, 24))
