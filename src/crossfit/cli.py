@@ -1,26 +1,31 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 Subcommands: gen-data, train, eval, compare, inspect.
 Every command is deterministic given its flags and seeds.  Exit codes:
 0 success, 1 training diverged (`compare` still writes its report, with
 null metrics for each diverged cell), 2 usage / I-O error (bad flags,
-config, data or checkpoint, or a model whose outputs overflow).
+config, data or checkpoint, an output path the OS would refuse, found
+before any work, or a model whose outputs overflow).
 
-Config files are JSON objects with flat dotted keys ("cfa.layers": 3);
-command-line flags override file values, file values override defaults:
-the config dataclasses' field defaults, plus one for `data.train_frac`.
-`compare` trains one model per seed at each point of a grid over config
-keys: `--strategies S1,S2` and `--vary KEY=V1,V2` each add one axis.  It
-runs each cell in a spawned worker process, as many workers as there are
-usable CPUs (never more than cells), and each worker runs OpenBLAS on one
-thread: the thread count changes BLAS's float summation order, so a report
-(all but its `workers` count) is the same on any host.  `train`, `eval` and
-`inspect` keep the library's default thread count.  The `train` log, the
-`eval` report and each `compare` cell record the BLAS thread count they ran
-with (null where the library cannot be asked).
+  crossfit gen-data --out eyes --n 600 --seed 11
+  crossfit train --data eyes --out m.bin --config c.json --set train.seed=3
+  crossfit eval --data eyes --ckpt m.bin --subset test --report eval.json
+  crossfit compare --data eyes --strategies crossfit,feat_max --seeds 1,2 \
+      --vary model.mask=true,false --set train.epochs=8 --report cmp.json
+  crossfit inspect --ckpt m.bin --data eyes --eye 3 --out probe
 
-Output paths the OS would refuse (a missing directory, a file where a
-directory belongs, or the reverse) are refused before any work.
+Each config key ("cfa.layers") takes its config dataclass field's default
+(`data.train_frac`: 0.8), then its value in the `--config` JSON file, then
+its `--set KEY=VALUE` (JSON or a bare word of the key's type; one per key).
+In `compare`, `--strategies`, `--vary` and `--seeds` override all three,
+and train.seed, the seed axis, cannot be `--set`.  Each `compare` cell runs
+on one OpenBLAS thread in one of min(usable CPUs, cells) spawned workers:
+the thread count changes BLAS's float summation order, so a report (all
+but its `workers` count) is the same on any host.  `train`, `eval` and
+`inspect` keep the library's thread count; the `train` log and checkpoint,
+the `eval` report and each `compare` cell record it (null where the library
+cannot be asked).  `eval` and `compare` print each distinct warning of the
+metrics (an undefined class AUC) as one `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import re
 import shutil
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from . import synthdata as sd
 from .attention import export_attention_record
 from .autodiff import ContractError
 from .geometry import field1_grid, regular_coords
-from .model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
+from .model import CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
                          TrainingDiverged, build_model_from_checkpoint,
                          config_from_dict, evaluate, field_defaults,
@@ -77,14 +83,20 @@ def _check_config_type(key: str, value) -> None:
         raise UsageError(f"config key {key!r} {problem}")
 
 
+def _json_or_word(text: str):
+    """A JSON value, or a bare word such as aligned read as a string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
     except OSError as err:
         raise UsageError(f"config file {path}: {err.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
@@ -96,20 +108,21 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-# each flag that sets a config key, by its argparse name
-_FLAG_KEYS = {"strategy": "model.strategy", "pe_mode": "model.pe_mode",
-              "mask": "model.mask", "threshold": "cfa.threshold",
-              "epochs": "train.epochs", "seed": "train.seed"}
-
-
-def _merged_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg.update(_load_config_file(getattr(args, "config", None)))
-    for name, key in _FLAG_KEYS.items():
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg[key] = value == "on" if name == "mask" else value
-    return cfg
+def _merged_config(args, seed_axis: bool = False) -> dict:
+    """Defaults, then the --config file's values, then each --set KEY=VALUE,
+    read as one --vary value; with `seed_axis` (--seeds), not train.seed."""
+    sets = {}
+    for spec in getattr(args, "sets", None) or []:
+        key, sep, text = spec.partition("=")
+        if not sep:
+            raise UsageError(f"bad --set {spec!r}; expected KEY=VALUE")
+        if seed_axis and key == "train.seed":
+            raise UsageError("train.seed is the --seeds axis; it cannot be set")
+        if key in sets:
+            raise UsageError(f"config key {key!r} is set twice")
+        sets[key] = _json_or_word(text)
+        _check_config_type(key, sets[key])
+    return {**_DEFAULTS, **_load_config_file(getattr(args, "config", None)), **sets}
 
 
 def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
@@ -175,10 +188,6 @@ def _split(data: sd.ArrayDataset, frac: float):
     return train_set, test_set
 
 
-def _load_split(data_dir: str, num_classes: int, frac: float):
-    return _split(sd.load_dataset(data_dir, num_classes=num_classes), frac)
-
-
 def _check_out_file(flag: str, path: str) -> None:
     """Refuse, before any work, a file the OS would not let us write."""
     parent = os.path.dirname(path) or "."
@@ -208,15 +217,13 @@ def _check_out_dir(flag: str, path: str) -> None:
 def _read_checkpoint(path: str):
     try:
         return load_checkpoint(path)
-    except FileNotFoundError:
-        raise UsageError(f"checkpoint not found: {path}") from None
     except OSError as err:
         raise UsageError(f"checkpoint {path}: {err.strerror}") from None
 
 
-def _openblas(name: str):
+def _openblas(name: str, argtypes: list, restype):
     """`name` ("get_num_threads", "set_num_threads") from the OpenBLAS that
-    numpy loaded, or None where no such library or symbol is found."""
+    numpy loaded, typed, or None where no such library or symbol is found."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -227,24 +234,21 @@ def _openblas(name: str):
         for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, sym, None)
             if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
                 return fn
     return None
 
 
 def _blas_threads() -> int | None:
     """The thread count of numpy's OpenBLAS in this process, or None."""
-    fn = _openblas("get_num_threads")
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return int(fn())
+    fn = _openblas("get_num_threads", [], ctypes.c_int)
+    return None if fn is None else int(fn())
 
 
 def _one_blas_thread() -> None:
     """Worker initializer: this process's BLAS runs on one thread."""
-    fn = _openblas("set_num_threads")
+    fn = _openblas("set_num_threads", [ctypes.c_int], None)
     if fn is not None:
-        fn.argtypes, fn.restype = [ctypes.c_int], None
         fn(1)
 
 
@@ -290,7 +294,7 @@ def cmd_train(args) -> int:
     log_path = args.out + ".log.json"
     for path in (args.out, log_path):
         _check_out_file("--out", path)
-    train_set, _ = _load_split(args.data, model_cfg.num_classes, frac)
+    train_set, _ = _split(sd.load_dataset(args.data, num_classes=model_cfg.num_classes), frac)
     _check_dataset_fit(train_set, model_cfg)
 
     t0 = time.time()
@@ -304,9 +308,10 @@ def cmd_train(args) -> int:
     with ad.default_dtype_scope(np.float32):
         model = CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
         ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
-    save_checkpoint(ckpt, args.out)
+    threads = _blas_threads()
+    save_checkpoint(ckpt, args.out, blas_threads=threads)
     with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(_g6({"config": cfg, "blas_threads": _blas_threads(), "epochs": epoch_log}),
+        json.dump(_g6({"config": cfg, "blas_threads": threads, "epochs": epoch_log}),
                   fh, indent=1)
     _emit({"checkpoint": args.out, "log": log_path,
            "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
@@ -329,10 +334,13 @@ def cmd_eval(args) -> int:
         if args.subset != "all":
             train_part, test_part = _split(data, args.train_frac)
             data = train_part if args.subset == "train" else test_part
-        report = evaluate(model, data).to_dict()
-    report["subset"] = args.subset
-    report["data"] = args.data
-    report["blas_threads"] = _blas_threads()
+        with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
+            warnings.simplefilter("always")
+            metrics = evaluate(model, data)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    report = {**metrics.to_dict(), "subset": args.subset, "data": args.data,
+              "blas_threads": _blas_threads()}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(report), fh, indent=1)
     auc = "---" if report["macro_auc"] is None else f"{report['macro_auc']:.6g}"
@@ -348,26 +356,29 @@ def cmd_eval(args) -> int:
 
 def _train_eval_cell(payload: tuple) -> dict:
     """One (grid point, seed) cell, run in a worker process. It records the
-    worker's BLAS thread count; a cell whose training diverged has null
-    metrics and says why."""
+    worker's BLAS thread count and returns its metrics' warnings as
+    `notices`; a cell whose training diverged has null metrics and says why."""
     data_dir, base_cfg, point, seed = payload
     model_cfg, train_cfg, frac = _build_configs({**base_cfg, **point, "train.seed": seed})
-    train_set, test_set = _load_split(data_dir, model_cfg.num_classes, frac)
+    data = sd.load_dataset(data_dir, num_classes=model_cfg.num_classes)
+    train_set, test_set = _split(data, frac)
     _check_dataset_fit(train_set, model_cfg)
+    cell = {"seed": seed, "blas_threads": _blas_threads()}
     with ad.default_dtype_scope(np.float32):
         model = CrossFiTModel(ad.make_rng(seed), model_cfg)
         try:
             train(model, train_set, train_cfg)
         except TrainingDiverged as err:
-            return {"seed": seed, "blas_threads": _blas_threads(),
-                    **dict.fromkeys(_METRICS), "diverged": str(err)}
+            return {**cell, **dict.fromkeys(_METRICS), "diverged": str(err)}
         grades, probs = predict_dataset(model, test_set)
-    m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
+    with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
+        warnings.simplefilter("always")
+        m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
     split = test_set.split_evidence
     hits = grades[split] == test_set.grades[split]
     split_acc = float(hits.mean()) if hits.size else None
-    return {"seed": seed, "blas_threads": _blas_threads(), "kappa": m.kappa,
-            "accuracy": m.accuracy, "macro_auc": m.macro_auc, "split_acc": split_acc}
+    return {**cell, "kappa": m.kappa, "accuracy": m.accuracy, "macro_auc": m.macro_auc,
+            "split_acc": split_acc, "notices": [str(w.message) for w in caught]}
 
 
 def _usable_cpus() -> int:
@@ -398,14 +409,6 @@ def _comma_list(flag: str, text: str, parse=str) -> list:
     if any(v in values[:i] for i, v in enumerate(values)):
         raise UsageError(f"{flag} {text!r} repeats a value")
     return values
-
-
-def _json_or_word(text: str):
-    """A JSON value, or a bare word such as aligned read as a string."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
 
 
 def _grid_axes(specs: list) -> dict[str, list]:
@@ -454,7 +457,7 @@ def _print_table(rows: list) -> None:
 
 def cmd_compare(args) -> int:
     seeds = _comma_list("--seeds", args.seeds, int)
-    base = _merged_config(args)
+    base = _merged_config(args, seed_axis=True)
     axes = _grid_axes(args.axes or [])
     points = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     for point, seed in itertools.product(points, seeds):  # all valid before any trains
@@ -467,6 +470,8 @@ def cmd_compare(args) -> int:
     payloads = [(args.data, base, p, seed) for p in points for seed in seeds]
     workers = min(_usable_cpus(), len(payloads))
     cells = _run_cells(payloads, workers)
+    for text in dict.fromkeys(t for c in cells for t in c.pop("notices", [])):
+        print(f"warning: {text}", file=sys.stderr)
     cells = [{**labels[i // n], **c} for i, c in enumerate(cells)]
     rows = [{**label, **{k: _mean(c[k] for c in cells[i * n:(i + 1) * n]) for k in _METRICS}}
             for i, label in enumerate(labels)]
@@ -512,10 +517,9 @@ def cmd_inspect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     attn_paths = export_attention_record(extras["attention"], args.out)
 
-    m1, m2 = extras["masks"]
     mask_paths = []
-    for name, m in (("mask_field1.json", m1), ("mask_field2.json", m2)):
-        path = os.path.join(args.out, name)
+    for field, m in enumerate(extras["masks"], 1):
+        path = os.path.join(args.out, f"mask_field{field}.json")
         bits = None if m is None else [int(b) for b in np.asarray(m).reshape(-1)]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"bits": bits, "threshold": model.cfg.cfa.threshold,
@@ -574,14 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one model")
     t.add_argument("--data", required=True)
-    t.add_argument("--config")
     t.add_argument("--out", required=True)
-    t.add_argument("--strategy", choices=STRATEGIES)
-    t.add_argument("--pe-mode", choices=PE_MODES)
-    t.add_argument("--mask", choices=["on", "off"])
-    t.add_argument("--threshold", type=float)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--seed", type=int)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -602,9 +599,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         "or a bare word; repeatable, the grid is their product")
     c.add_argument("--seeds", default="1,2,3", help="the seed axis")
     c.add_argument("--report", required=True)
-    c.add_argument("--config")
-    c.add_argument("--epochs", type=int)
     c.set_defaults(fn=cmd_compare)
+    for p in (t, c):
+        p.add_argument("--config")
+        p.add_argument("--set", dest="sets", action="append", metavar="KEY=VALUE",
+                       help="a config key's value, over the --config file's; repeatable")
 
     i = sub.add_parser("inspect", help="dump masks, grids, attention for one eye")
     i.add_argument("--ckpt", required=True)

@@ -6,8 +6,10 @@ back. In the header, `config.model` holds the model config's fields, nested
 configs as objects; `tensors` one {name, shape, offset, length} entry per
 tensor, `param/<name>` for each parameter; `payload_bytes` the payload's
 length; `train_state.step` the SGD steps taken. Loading reads those four.
-`config.train`, the train config's fields when `train` wrote the file, is a
-record only: nothing reads it back.
+`config.train`, the train config's fields when `train` wrote the file, and
+`train_state.blas_threads`, the BLAS thread count `crossfit train` ran with
+(null where the library cannot be asked), are records only: nothing reads
+them back.
 """
 
 from __future__ import annotations
@@ -480,7 +482,9 @@ def build_model_from_checkpoint(ckpt: Checkpoint,
     return model
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+def save_checkpoint(ckpt: Checkpoint, path: str, **record) -> None:
+    """Write `ckpt` to `path`; each keyword in `record` is one more
+    `train_state` entry beside `step`, written but never read back."""
     index = []
     offset = 0
     payloads = []
@@ -491,7 +495,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         payloads.append(data)
         offset += len(data)
     header = {"config": ckpt.config, "tensors": index,
-              "payload_bytes": offset, "train_state": {"step": ckpt.step}}
+              "payload_bytes": offset, "train_state": {"step": ckpt.step, **record}}
     header_bytes = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

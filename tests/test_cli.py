@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -69,7 +70,7 @@ def two_eyes(tmp_path_factory):
 def trained_ckpt(tmp_path_factory, data_dir, tiny_config):
     out = str(tmp_path_factory.mktemp("ck") / "model.bin")
     code = run_cli("train", "--data", data_dir, "--config", tiny_config,
-                   "--out", out, "--seed", "1")
+                   "--out", out, "--set", "train.seed=1")
     assert code == 0
     return out
 
@@ -137,17 +138,25 @@ class TestTrain:
         assert all(np.isfinite(e["loss"]) for e in log["epochs"])
         assert log["blas_threads"] == cli._blas_threads()
 
+    def test_checkpoint_header_records_blas_threads(self, trained_ckpt):
+        """A record only: loading reads the step beside it and ignores it."""
+        blob = Path(trained_ckpt).read_bytes()
+        (hlen,) = struct.unpack("<I", blob[6:10])
+        state = json.loads(blob[10:10 + hlen].decode())["train_state"]
+        assert state == {"step": state["step"], "blas_threads": cli._blas_threads()}
+        assert load_checkpoint(trained_ckpt).step == state["step"] > 0
+
     def test_epoch_lines_are_json(self, data_dir, tiny_config, tmp_path, capsys):
         out = str(tmp_path / "m.bin")
         assert run_cli("train", "--data", data_dir, "--config", tiny_config,
-                       "--out", out, "--seed", "2") == 0
+                       "--out", out, "--set", "train.seed=2") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         epochs = [json.loads(l) for l in lines if '"epoch"' in l]
         assert [e["epoch"] for e in epochs] == [0, 1]
 
     def test_threshold_out_of_range(self, data_dir, tiny_config, tmp_path):
         assert run_cli("train", "--data", data_dir, "--config", tiny_config,
-                       "--out", str(tmp_path / "m.bin"), "--threshold", "1.5") == 2
+                       "--out", str(tmp_path / "m.bin"), "--set", "cfa.threshold=1.5") == 2
 
     def test_inconsistent_width_heads(self, data_dir, tmp_path):
         cfg_path = str(tmp_path / "bad.json")
@@ -265,7 +274,7 @@ class TestTrain:
                        "cfa.mlp_ratio": 1}, fh)
         out = str(tmp_path / "m.bin")
         assert run_cli("train", "--data", data_dir, "--config", cfg_path,
-                       "--out", out, "--epochs", "1") == 0
+                       "--out", out, "--set", "train.epochs=1") == 0
         with open(out + ".log.json", encoding="utf-8") as fh:
             assert len(json.load(fh)["epochs"]) == 1
 
@@ -277,7 +286,7 @@ class TestTrain:
             json.dump({"train.lr": 1e9, "train.epochs": 2}, fh)
         out = tmp_path / "m.bin"
         assert run_cli("train", "--data", data_dir, "--config", cfg_path,
-                       "--strategy", "feat_max", "--out", str(out)) == 1
+                       "--set", "model.strategy=feat_max", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("training diverged: ") and err.count("\n") == 1
         assert not out.exists()
@@ -287,7 +296,7 @@ class TestTrain:
         for tag in ("p", "q"):
             out = str(tmp_path / f"{tag}.bin")
             run_cli("train", "--data", data_dir, "--config", tiny_config,
-                    "--out", out, "--seed", "7")
+                    "--out", out, "--set", "train.seed=7")
             with open(out + ".log.json", encoding="utf-8") as fh:
                 logs.append([e["loss"] for e in json.load(fh)["epochs"]])
         assert logs[0] == logs[1]
@@ -305,6 +314,19 @@ class TestEval:
             assert key in rep
         assert rep["n_samples"] == 24
         assert rep["blas_threads"] == cli._blas_threads()
+
+    def test_undefined_auc_is_one_warning_line_each(self, trained_ckpt, data_dir, tmp_path,
+                                                   capsys, recwarn):
+        """The 5-eye test split leaves class AUCs undefined: each is one
+        `warning:` line on stderr, and no Python warning escapes."""
+        assert run_cli("eval", "--data", data_dir, "--ckpt", trained_ckpt, "--subset", "test",
+                       "--report", str(tmp_path / "r.json")) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and len(set(lines)) == len(lines)
+        assert all(re.fullmatch(r"warning: class \d absent or universal in eval split; its "
+                                r"AUC is undefined and excluded from the macro mean", l)
+                   for l in lines)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_confusion_consistent_with_accuracy(self, trained_ckpt, data_dir, tmp_path):
         report = str(tmp_path / "r.json")
@@ -579,17 +601,20 @@ class TestCompareGrid:
                                             monkeypatch):
         # The cells run in worker processes: capfd reads their stderr, and the
         # workers turn a RuntimeWarning into an error as the marker does here.
-        # The tiny test split leaves class AUCs undefined; that UserWarning is
-        # expected, as the 'AUC undefined' warnings of every other test are.
-        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning,ignore:class:UserWarning")
+        # The tiny test split leaves class AUCs undefined in both finished
+        # cells: the parent prints each distinct notice once, as one line.
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
         report = tmp_path / "grid.json"
         capfd.readouterr()
         assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
                        "--strategies", "feat_max", "--vary", "train.lr=0.01,1e9",
                        "--seeds", "1,2", "--report", str(report)) == 1
-        err = capfd.readouterr().err
-        assert err.startswith("training diverged: 2 of 4 cells") and err.count("\n") == 1
+        *notices, last = capfd.readouterr().err.splitlines()
+        assert last.startswith("training diverged: 2 of 4 cells")
+        assert notices and len(set(notices)) == len(notices)
+        assert all(l.startswith("warning: class ") and l.endswith("macro mean") for l in notices)
         table = json.loads(report.read_text())
+        assert not any("notices" in c for c in table["cells"])
         finished, diverged = table["rows"]
         assert np.isfinite(finished["kappa"]) and diverged["kappa"] is None
         for cell in table["cells"]:
@@ -639,6 +664,74 @@ class TestCompareGrid:
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--data", data_dir, "--report", str(tmp_path / "x.json"))
         assert exc.value.code == 2
+
+
+class TestSet:
+    """`--set KEY=VALUE`: one config key over the `--config` file's value,
+    read as one `--vary` value is read."""
+
+    def test_set_overrides_config_file(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"train.epochs": 5, "cfa.layers": 2}))
+        sets = ["train.epochs=1", "encoder.stage_channels=[8,16]", "model.pe_mode=regular",
+                "model.mask=false", "cfa.threshold=0.1"]
+        cfg = _merged_config(argparse.Namespace(config=str(cfg_path), sets=sets))
+        assert cfg == {**_DEFAULTS, "train.epochs": 1, "cfa.layers": 2,
+                       "encoder.stage_channels": [8, 16], "model.pe_mode": "regular",
+                       "model.mask": False, "cfa.threshold": 0.1}
+
+    def test_axes_override_set_values(self, data_dir, tiny_config, tmp_path, monkeypatch):
+        """In `compare`, --strategies and --vary override --set as they
+        override file values; the other --set values reach every cell."""
+        payloads = []
+
+        def capture(cells, _workers):
+            payloads.extend(cells)
+            raise UsageError("captured")
+        monkeypatch.setattr("crossfit.cli._run_cells", capture)
+        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
+                       "--set", "model.strategy=feat_max", "--set", "cfa.layers=1",
+                       "--set", "train.epochs=1", "--strategies", "crossfit",
+                       "--vary", "cfa.layers=3", "--seeds", "4",
+                       "--report", str(tmp_path / "x.json")) == 2
+        (_, base, point, seed), = payloads
+        assert (base["model.strategy"], base["cfa.layers"], base["train.epochs"]) == (
+            "feat_max", 1, 1)
+        assert point == {"model.strategy": "crossfit", "cfa.layers": 3} and seed == 4
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("sets, message", [
+        (["cfa.layer_count=2"], "unknown config key 'cfa.layer_count'"),
+        (["cfa.layers=1.5"], "config key 'cfa.layers' must be an integer"),
+        (["model.mask=off"], "config key 'model.mask' must be true or false"),
+        (["model.strategy=bogus"], "unknown strategy 'bogus'; one of ('crossfit'"),
+        (["model.pe_mode=bogus"], "unknown pe mode 'bogus'"),
+        (["cfa.layers"], "bad --set 'cfa.layers'; expected KEY=VALUE"),
+        (["cfa.layers=1", "cfa.layers=2"], "config key 'cfa.layers' is set twice"),
+        (["cfa.threshold=1.5"], "mask threshold 1.5 outside [0,1]"),
+    ], ids=["unknown-key", "mistyped-int", "mistyped-bool", "bad-strategy", "bad-pe-mode",
+            "no-value", "set-twice", "bad-threshold"])
+    def test_refused_before_any_work(self, data_dir, tiny_config, tmp_path, monkeypatch,
+                                     capsys, command, sets, message):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work ran")
+        for name in ("crossfit.cli.train", "crossfit.cli._run_cells"):
+            monkeypatch.setattr(name, no_work)
+        out = tmp_path / "out"
+        argv = [command, "--data", data_dir, "--config", tiny_config,
+                *(arg for spec in sets for arg in ("--set", spec))]
+        argv += (["--out", str(out)] if command == "train"
+                 else ["--seeds", "1", "--report", str(out)])
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_compare_refuses_set_seed(self, data_dir, tiny_config, tmp_path, monkeypatch,
+                                      capsys):
+        err = TestCompareGrid._refused(monkeypatch, capsys, tmp_path, "--data", data_dir,
+                                       "--config", tiny_config, "--set", "train.seed=1")
+        assert err == "error: train.seed is the --seeds axis; it cannot be set\n"
 
 
 class TestInspect:
@@ -726,7 +819,7 @@ class TestDtypeScope:
     def test_success_restores_float64(self, trained_ckpt, data_dir, tiny_config, tmp_path):
         runs = [
             ("train", "--data", data_dir, "--config", tiny_config,
-             "--out", str(tmp_path / "m.bin"), "--epochs", "1"),
+             "--out", str(tmp_path / "m.bin"), "--set", "train.epochs=1"),
             ("eval", "--data", data_dir, "--ckpt", trained_ckpt,
              "--report", str(tmp_path / "r.json")),
             ("inspect", "--ckpt", trained_ckpt, "--data", data_dir,
@@ -937,3 +1030,29 @@ def test_docstring_lists_every_subcommand():
     parser = cli._build_parser()
     sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert listed == list(sub.choices)
+
+
+def test_only_set_and_the_axes_set_config_keys():
+    """No per-key flag copies the config schema: `train` sets keys only
+    through --config and --set, `compare` also through its three axes."""
+    parser = cli._build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {flag for a in p._actions for flag in a.option_strings}
+             for name, p in sub.choices.items()}
+    common = {"-h", "--help", "--data", "--config", "--set"}
+    assert flags["train"] == common | {"--out"}
+    assert flags["compare"] == common | {"--report", "--strategies", "--vary", "--seeds"}
+
+
+def test_docstring_examples_parse():
+    """Every command line the usage text quotes parses, and its --set values
+    are valid keys and values, so the text cannot drift from the parser."""
+    lines = [shlex.split(l) for l in cli.__doc__.replace("\\\n", " ").splitlines()
+             if l.strip().startswith("crossfit ")]
+    parser = cli._build_parser()
+    assert [argv[1] for argv in lines] == ["gen-data", "train", "eval", "compare", "inspect"]
+    for argv in lines:
+        args = parser.parse_args(argv[1:])
+        sets = argparse.Namespace(sets=getattr(args, "sets", None))
+        _build_configs(_merged_config(sets, seed_axis=args.fn is cli.cmd_compare))
+    assert any("--set" in argv for argv in lines)
