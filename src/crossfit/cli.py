@@ -18,19 +18,21 @@ Each config key ("cfa.layers") takes its config dataclass field's default
 (`data.train_frac`: 0.8), then its value in the `--config` JSON file, then
 its `--set KEY=VALUE` (JSON or a bare word of the key's type; one per key).
 In `compare`, `--strategies`, `--vary` and `--seeds` override all three,
-and train.seed, the seed axis, cannot be `--set`.  Each `compare` cell runs
-on one OpenBLAS thread in one of min(usable CPUs, cells) spawned workers:
-the thread count changes BLAS's float summation order, so a report (all
-but its `workers` count) is the same on any host.  `train`, `eval` and
-`inspect` keep the library's thread count; the `train` log and checkpoint,
-the `eval` report and each `compare` cell record it (null where the library
-cannot be asked).  `eval` and `compare` print each distinct warning of the
-metrics (an undefined class AUC) as one `warning:` line on stderr.
+and train.seed, the seed axis, cannot be `--set`.  `eval --subset
+train|test` splits the eyes by the data.train_frac `train` recorded in the
+checkpoint.  Every command runs numpy's OpenBLAS on one thread, and gives
+the count back on exit: the count changes BLAS's float summation order, so
+a checkpoint or report (all but `compare`'s `workers` count) is the same on
+any host.  Each `compare` cell runs on one thread too, in one of
+min(usable CPUs, cells) spawned workers.  `eval` and `compare` print each
+distinct warning of the metrics (an undefined class AUC) as one `warning:`
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import itertools
 import json
@@ -52,10 +54,9 @@ from .geometry import field1_grid, regular_coords
 from .model import CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
                          TrainingDiverged, build_model_from_checkpoint,
-                         config_from_dict, evaluate, field_defaults,
-                         finite_outputs, json_type_error, load_checkpoint,
-                         metrics_from_predictions, predict_dataset, save_checkpoint,
-                         train)
+                         config_from_dict, field_defaults, finite_outputs,
+                         json_type_error, load_checkpoint, metrics_from_predictions,
+                         predict_dataset, save_checkpoint, train)
 
 
 class UsageError(ValueError):
@@ -143,24 +144,20 @@ def _build_configs(cfg: dict) -> tuple[CrossFiTConfig, TrainConfig, float]:
     except ContractError as err:
         raise UsageError(f"inconsistent configuration: {err}") from None
     frac = cfg["data.train_frac"]
-    _check_train_frac("data.train_frac", frac)
+    if not 0.0 < frac < 1.0:
+        raise UsageError(f"data.train_frac {frac} outside (0,1)")
     return model_cfg, train_cfg, frac
 
 
-def _check_train_frac(name: str, frac: float) -> None:
-    if not (0.0 < frac < 1.0):
-        raise UsageError(f"{name} {frac} outside (0,1)")
-
-
-def _check_dataset_fit(data: sd.ArrayDataset, model_cfg: CrossFiTConfig) -> None:
+def _load_dataset(path: str, model_cfg: CrossFiTConfig) -> sd.ArrayDataset:
+    """The dataset at `path`, refused when a grade has no class in the model
+    or the images are not the encoder's size."""
+    data = sd.load_dataset(path, num_classes=model_cfg.num_classes)
     size = data.images1.shape[1]
     if size != model_cfg.encoder.input_size:
         raise UsageError(f"dataset images are {size}x{size} but the encoder "
                          f"expects {model_cfg.encoder.input_size}")
-    top = int(data.grades.max())
-    if top >= model_cfg.num_classes:
-        raise UsageError(f"dataset contains grade {top} but the model has "
-                         f"{model_cfg.num_classes} classes")
+    return data
 
 
 def _g6(x):
@@ -221,9 +218,9 @@ def _read_checkpoint(path: str):
         raise UsageError(f"checkpoint {path}: {err.strerror}") from None
 
 
-def _openblas(name: str, argtypes: list, restype):
-    """`name` ("get_num_threads", "set_num_threads") from the OpenBLAS that
-    numpy loaded, typed, or None where no such library or symbol is found."""
+def _openblas(name: str):
+    """`name` ("get_num_threads" or "set_num_threads") of the OpenBLAS numpy
+    loaded, or None; both take and return a C int, ctypes' default."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -232,24 +229,43 @@ def _openblas(name: str, argtypes: list, restype):
     for path in libs:
         lib = ctypes.CDLL(path)
         for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = argtypes, restype
-                return fn
+            if hasattr(lib, sym):
+                return getattr(lib, sym)
     return None
 
 
-def _blas_threads() -> int | None:
-    """The thread count of numpy's OpenBLAS in this process, or None."""
-    fn = _openblas("get_num_threads", [], ctypes.c_int)
-    return None if fn is None else int(fn())
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then give back the
+    count it had; where no OpenBLAS can be asked, leave BLAS alone."""
+    get, put = _openblas("get_num_threads"), _openblas("set_num_threads")
+    with contextlib.ExitStack() as restore:
+        if get and put:
+            restore.callback(put, get())
+            put(1)
+        yield
 
 
-def _one_blas_thread() -> None:
-    """Worker initializer: this process's BLAS runs on one thread."""
-    fn = _openblas("set_num_threads", [ctypes.c_int], None)
-    if fn is not None:
-        fn(1)
+def _fit(model_cfg: CrossFiTConfig, train_cfg: TrainConfig, train_set, on_epoch=None):
+    """A float32 model of `model_cfg` trained on `train_set` from
+    train.seed: (model, checkpoint). Raises TrainingDiverged as `train` does."""
+    with ad.default_dtype_scope(np.float32):
+        model = CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
+        ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
+    return model, ckpt
+
+
+def _score(model: CrossFiTModel, data: sd.ArrayDataset) -> tuple[dict, list]:
+    """`model`'s metrics on `data` with `split_acc`, its accuracy on the
+    split-evidence eyes (None without any); and the metrics' warnings."""
+    with ad.default_dtype_scope(np.float32):
+        grades, probs = predict_dataset(model, data)
+    with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
+        warnings.simplefilter("always")
+        m = metrics_from_predictions(data.grades, grades, probs, model.cfg.num_classes)
+    hits = (grades == data.grades)[data.split_evidence]
+    split_acc = float(hits.mean()) if hits.size else None
+    return {**m.to_dict(), "split_acc": split_acc}, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +310,7 @@ def cmd_train(args) -> int:
     log_path = args.out + ".log.json"
     for path in (args.out, log_path):
         _check_out_file("--out", path)
-    train_set, _ = _split(sd.load_dataset(args.data, num_classes=model_cfg.num_classes), frac)
-    _check_dataset_fit(train_set, model_cfg)
+    train_set, _ = _split(_load_dataset(args.data, model_cfg), frac)
 
     t0 = time.time()
     epoch_log = []
@@ -305,14 +320,11 @@ def cmd_train(args) -> int:
         epoch_log.append(entry)
         _emit(entry)
 
-    with ad.default_dtype_scope(np.float32):
-        model = CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
-        ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
-    threads = _blas_threads()
-    save_checkpoint(ckpt, args.out, blas_threads=threads)
+    _, ckpt = _fit(model_cfg, train_cfg, train_set, on_epoch)
+    ckpt.config["data"] = {"train_frac": frac}
+    save_checkpoint(ckpt, args.out)
     with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(_g6({"config": cfg, "blas_threads": threads, "epochs": epoch_log}),
-                  fh, indent=1)
+        json.dump(_g6({"config": cfg, "epochs": epoch_log}), fh, indent=1)
     _emit({"checkpoint": args.out, "log": log_path,
            "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
            "train_eyes": len(train_set)})
@@ -324,23 +336,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_train_frac("--train-frac", args.train_frac)
     _check_out_file("--report", args.report)
     ckpt = _read_checkpoint(args.ckpt)
     with ad.default_dtype_scope(np.float32):
         model = build_model_from_checkpoint(ckpt)
-        data = sd.load_dataset(args.data, num_classes=model.cfg.num_classes)
-        _check_dataset_fit(data, model.cfg)
-        if args.subset != "all":
-            train_part, test_part = _split(data, args.train_frac)
-            data = train_part if args.subset == "train" else test_part
-        with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
-            warnings.simplefilter("always")
-            metrics = evaluate(model, data)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    report = {**metrics.to_dict(), "subset": args.subset, "data": args.data,
-              "blas_threads": _blas_threads()}
+    data = _load_dataset(args.data, model.cfg)
+    if args.subset != "all":  # split as `train` did, by the fraction it recorded
+        section = ckpt.config.get("data")
+        frac = section.get("train_frac") if isinstance(section, dict) else None
+        if frac is None:
+            raise CheckpointError(f"checkpoint {args.ckpt} records no config.data.train_frac "
+                                  f"(older checkpoints lack it); --subset all needs none")
+        if not (isinstance(frac, float) and 0.0 < frac < 1.0):
+            raise CheckpointError(f"checkpoint {args.ckpt}: config.data.train_frac "
+                                  f"{json.dumps(frac)} is not a number in (0, 1)")
+        train_part, test_part = _split(data, frac)
+        data = train_part if args.subset == "train" else test_part
+    scores, notices = _score(model, data)
+    for text in notices:
+        print(f"warning: {text}", file=sys.stderr)
+    report = {**scores, "subset": args.subset, "data": args.data}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(_g6(report), fh, indent=1)
     auc = "---" if report["macro_auc"] is None else f"{report['macro_auc']:.6g}"
@@ -355,30 +370,19 @@ def cmd_eval(args) -> int:
 
 
 def _train_eval_cell(payload: tuple) -> dict:
-    """One (grid point, seed) cell, run in a worker process. It records the
-    worker's BLAS thread count and returns its metrics' warnings as
-    `notices`; a cell whose training diverged has null metrics and says why."""
+    """One (grid point, seed) cell, run in a worker process on one BLAS
+    thread. It returns its metrics' warnings as `notices`; a cell whose
+    training diverged has null metrics and says why."""
     data_dir, base_cfg, point, seed = payload
     model_cfg, train_cfg, frac = _build_configs({**base_cfg, **point, "train.seed": seed})
-    data = sd.load_dataset(data_dir, num_classes=model_cfg.num_classes)
-    train_set, test_set = _split(data, frac)
-    _check_dataset_fit(train_set, model_cfg)
-    cell = {"seed": seed, "blas_threads": _blas_threads()}
-    with ad.default_dtype_scope(np.float32):
-        model = CrossFiTModel(ad.make_rng(seed), model_cfg)
+    train_set, test_set = _split(_load_dataset(data_dir, model_cfg), frac)
+    with _one_blas_thread():
         try:
-            train(model, train_set, train_cfg)
+            model, _ = _fit(model_cfg, train_cfg, train_set)
         except TrainingDiverged as err:
-            return {**cell, **dict.fromkeys(_METRICS), "diverged": str(err)}
-        grades, probs = predict_dataset(model, test_set)
-    with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
-        warnings.simplefilter("always")
-        m = metrics_from_predictions(test_set.grades, grades, probs, model_cfg.num_classes)
-    split = test_set.split_evidence
-    hits = grades[split] == test_set.grades[split]
-    split_acc = float(hits.mean()) if hits.size else None
-    return {**cell, "kappa": m.kappa, "accuracy": m.accuracy, "macro_auc": m.macro_auc,
-            "split_acc": split_acc, "notices": [str(w.message) for w in caught]}
+            return {"seed": seed, **dict.fromkeys(_METRICS), "diverged": str(err)}
+        scores, notices = _score(model, test_set)
+    return {"seed": seed, **{k: scores[k] for k in _METRICS}, "notices": notices}
 
 
 def _usable_cpus() -> int:
@@ -389,10 +393,8 @@ def _usable_cpus() -> int:
 
 
 def _run_cells(payloads: list, workers: int) -> list:
-    """Each cell in one of `workers` spawned processes that run one BLAS
-    thread; this process's thread count and environment are left alone."""
-    with multiprocessing.get_context("spawn").Pool(
-            workers, initializer=_one_blas_thread) as pool:
+    """Each cell in one of `workers` spawned processes."""
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
         return pool.map(_train_eval_cell, payloads, chunksize=1)
 
 
@@ -499,8 +501,7 @@ def cmd_inspect(args) -> int:
         if model.cfg.strategy != "crossfit":
             raise UsageError(f"attention inspection needs the crossfit strategy; "
                              f"checkpoint was trained with {model.cfg.strategy!r}")
-        data = sd.load_dataset(args.data, num_classes=model.cfg.num_classes)
-        _check_dataset_fit(data, model.cfg)
+        data = _load_dataset(args.data, model.cfg)
         hits = np.flatnonzero(data.eye_ids == args.eye)
         if hits.size == 0:
             raise UsageError(f"eye {args.eye} not in manifest at {args.data}")
@@ -586,7 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--report", required=True)
     e.add_argument("--subset", choices=["all", "train", "test"], default="all")
-    e.add_argument("--train-frac", type=float, default=_DEFAULTS["data.train_frac"])
     e.set_defaults(fn=cmd_eval)
 
     c = sub.add_parser("compare", help="train and evaluate a grid of configs, per seed")
@@ -617,7 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _one_blas_thread():
+            return args.fn(args)
     except (UsageError, sd.DataError, CheckpointError, NonFiniteOutputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -25,11 +25,21 @@ from crossfit import cli
 from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
 from crossfit.model import CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import TrainConfig
-from crossfit.train_eval import build_model_from_checkpoint, load_checkpoint
+from crossfit.train_eval import build_model_from_checkpoint, load_checkpoint, predict_dataset
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _rewrite_header(path, out, edit) -> None:
+    """Copy checkpoint `path` to `out` with its JSON header changed by `edit`."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[6:10])
+    header = json.loads(blob[10:10 + hlen].decode())
+    edit(header)
+    raw = json.dumps(header).encode()
+    out.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + hlen:])
 
 
 @pytest.fixture(scope="module")
@@ -136,15 +146,14 @@ class TestTrain:
             log = json.load(fh)
         assert len(log["epochs"]) == 2
         assert all(np.isfinite(e["loss"]) for e in log["epochs"])
-        assert log["blas_threads"] == cli._blas_threads()
 
-    def test_checkpoint_header_records_blas_threads(self, trained_ckpt):
-        """A record only: loading reads the step beside it and ignores it."""
+    def test_checkpoint_header_records_the_split(self, trained_ckpt):
+        """`eval --subset` splits by config.data.train_frac; loading ignores it."""
         blob = Path(trained_ckpt).read_bytes()
         (hlen,) = struct.unpack("<I", blob[6:10])
-        state = json.loads(blob[10:10 + hlen].decode())["train_state"]
-        assert state == {"step": state["step"], "blas_threads": cli._blas_threads()}
-        assert load_checkpoint(trained_ckpt).step == state["step"] > 0
+        header = json.loads(blob[10:10 + hlen].decode())
+        assert header["config"]["data"] == {"train_frac": _DEFAULTS["data.train_frac"]}
+        assert header["train_state"] == {"step": load_checkpoint(trained_ckpt).step}
 
     def test_epoch_lines_are_json(self, data_dir, tiny_config, tmp_path, capsys):
         out = str(tmp_path / "m.bin")
@@ -310,10 +319,23 @@ class TestEval:
         with open(report, encoding="utf-8") as fh:
             rep = json.load(fh)
         for key in ("kappa", "accuracy", "macro_auc", "per_class_auc",
-                    "confusion", "n_samples"):
+                    "confusion", "n_samples", "split_acc"):
             assert key in rep
         assert rep["n_samples"] == 24
-        assert rep["blas_threads"] == cli._blas_threads()
+
+    def test_split_acc_is_the_accuracy_on_split_evidence_eyes(self, trained_ckpt, data_dir,
+                                                             tmp_path):
+        report = tmp_path / "r.json"
+        assert run_cli("eval", "--data", data_dir, "--ckpt", trained_ckpt,
+                       "--report", str(report)) == 0
+        data = sd.load_dataset(data_dir)
+        with ad.default_dtype_scope(np.float32):
+            model = build_model_from_checkpoint(load_checkpoint(trained_ckpt))
+            grades, _ = predict_dataset(model, data)
+        split = data.split_evidence
+        assert split.any()
+        expected = float((grades[split] == data.grades[split]).mean())
+        assert json.loads(report.read_text())["split_acc"] == pytest.approx(expected, abs=1e-6)
 
     def test_undefined_auc_is_one_warning_line_each(self, trained_ckpt, data_dir, tmp_path,
                                                    capsys, recwarn):
@@ -354,14 +376,11 @@ class TestEval:
         assert "corrupt header" in capsys.readouterr().err
 
     def test_negative_tensor_dims_exit_2(self, trained_ckpt, data_dir, tmp_path, capsys):
-        blob = Path(trained_ckpt).read_bytes()
-        (hlen,) = struct.unpack("<I", blob[6:10])
-        header = json.loads(blob[10:10 + hlen].decode())
-        shape = header["tensors"][0]["shape"]
-        header["tensors"][0]["shape"] = [-shape[0], -shape[1], *shape[2:]]
-        raw = json.dumps(header).encode()
+        def negate(header):
+            shape = header["tensors"][0]["shape"]
+            header["tensors"][0]["shape"] = [-shape[0], -shape[1], *shape[2:]]
         bad = tmp_path / "neg.bin"
-        bad.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + hlen:])
+        _rewrite_header(trained_ckpt, bad, negate)
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(tmp_path / "r.json")) == 2
         assert "corrupt index entry" in capsys.readouterr().err
@@ -385,15 +404,12 @@ class TestEval:
     ])
     def test_mistyped_model_config_exits_2(self, trained_ckpt, data_dir, tmp_path,
                                            capsys, key, value):
-        blob = Path(trained_ckpt).read_bytes()
-        (hlen,) = struct.unpack("<I", blob[6:10])
-        header = json.loads(blob[10:10 + hlen].decode())
-        section, _, name = key.rpartition(".")
-        target = header["config"]["model"]
-        (target[section] if section else target)[name] = value
-        raw = json.dumps(header).encode()
+        def mistype(header):
+            section, _, name = key.rpartition(".")
+            target = header["config"]["model"]
+            (target[section] if section else target)[name] = value
         bad = tmp_path / "typed.bin"
-        bad.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + hlen:])
+        _rewrite_header(trained_ckpt, bad, mistype)
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(tmp_path / "r.json")) == 2
         assert "no valid model config" in capsys.readouterr().err
@@ -462,18 +478,70 @@ class TestEval:
         assert err.startswith("error: model outputs are non-finite") and err.count("\n") == 1
         assert not out.exists()
 
+    @staticmethod
+    def _eval_with_frac(ckpt, data_dir, tmp_path, subset, edit) -> int:
+        """`eval --subset` of a copy of `ckpt` whose header `edit` changed."""
+        changed = tmp_path / "frac.bin"
+        _rewrite_header(ckpt, changed, edit)
+        return run_cli("eval", "--data", data_dir, "--ckpt", str(changed),
+                       "--subset", subset, "--report", str(tmp_path / "r.json"))
+
     @pytest.mark.parametrize("subset, frac, message", [
-        ("test", "1.0", "--train-frac 1.0 outside (0,1)"),
-        ("all", "0", "--train-frac 0.0 outside (0,1)"),
-        ("test", "0.99", "24 train and 0 test"),
-        ("train", "0.01", "0 train and 24 test"),
+        ("test", 0.99, "24 train and 0 test"),
+        ("train", 0.01, "0 train and 24 test"),
     ])
-    def test_train_frac_without_eyes_exits_2(self, trained_ckpt, data_dir, tmp_path,
-                                             capsys, subset, frac, message):
-        assert run_cli("eval", "--data", data_dir, "--ckpt", trained_ckpt,
-                       "--report", str(tmp_path / "r.json"), "--subset", subset,
-                       "--train-frac", frac) == 2
+    def test_recorded_split_without_eyes_exits_2(self, trained_ckpt, data_dir, tmp_path,
+                                                 capsys, subset, frac, message):
+        def record(header):
+            header["config"]["data"]["train_frac"] = frac
+        assert self._eval_with_frac(trained_ckpt, data_dir, tmp_path, subset, record) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, 1, 0, -0.5, math.nan, True, "0.8", [0.8]],
+                             ids=["one", "zero", "int-one", "int-zero", "negative", "nan",
+                                  "true", "string", "list"])
+    def test_mistyped_train_frac_exits_2(self, trained_ckpt, data_dir, tmp_path, capsys,
+                                         value):
+        def mistype(header):
+            header["config"]["data"]["train_frac"] = value
+        assert self._eval_with_frac(trained_ckpt, data_dir, tmp_path, "test", mistype) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert f"config.data.train_frac {json.dumps(value)} is not a number in (0, 1)" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].pop("data"),
+        lambda h: h["config"]["data"].pop("train_frac"),
+        lambda h: h["config"]["data"].update(train_frac=None),
+        lambda h: h["config"].update(data=0.8),
+    ], ids=["no-data-section", "no-key", "null", "data-not-an-object"])
+    @pytest.mark.parametrize("subset", ["train", "test"])
+    def test_header_without_train_frac_refuses_a_subset(self, trained_ckpt, data_dir,
+                                                        tmp_path, capsys, edit, subset):
+        """As every checkpoint written before `train` recorded the fraction."""
+        assert self._eval_with_frac(trained_ckpt, data_dir, tmp_path, subset, edit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert "records no config.data.train_frac" in err
+
+    def test_header_without_train_frac_scores_all(self, trained_ckpt, data_dir, tmp_path):
+        def drop(header):
+            header["config"].pop("data")
+        assert self._eval_with_frac(trained_ckpt, data_dir, tmp_path, "all", drop) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["n_samples"] == 24
+
+    def test_test_subset_holds_no_training_eye(self, tiny_config, tmp_path):
+        """At data.train_frac 0.9, 54 of 60 eyes train and `eval --subset test`
+        scores the other 6, not the 12 eyes a fixed 0.8 split would give."""
+        data, ckpt = str(tmp_path / "eyes"), str(tmp_path / "m.bin")
+        assert run_cli("gen-data", "--out", data, "--n", "60", "--seed", "11") == 0
+        assert run_cli("train", "--data", data, "--config", tiny_config, "--out", ckpt,
+                       "--set", "data.train_frac=0.9", "--set", "train.epochs=1") == 0
+        for subset, n in (("train", 54), ("test", 6)):
+            report = tmp_path / f"{subset}.json"
+            assert run_cli("eval", "--data", data, "--ckpt", ckpt, "--subset", subset,
+                           "--report", str(report)) == 0
+            assert json.loads(report.read_text())["n_samples"] == n
 
     def test_subset_split(self, trained_ckpt, data_dir, tmp_path):
         rep_tr = str(tmp_path / "tr.json")
@@ -500,6 +568,7 @@ class TestCompare:
             table = json.load(fh)
         assert [r["strategy"] for r in table["rows"]] == ["feat_max", "single_field_1"]
         assert len(table["cells"]) == 4
+        assert table["workers"] == min(4, cli._usable_cpus())
         text = capsys.readouterr().out
         assert "feat_max" in text and "single_field_1" in text
 
@@ -877,8 +946,9 @@ class TestRefusedPaths:
                                      monkeypatch, capsys, argv, message):
         def no_work(*_args, **_kwargs):
             raise AssertionError("work ran")
-        for name in ("crossfit.cli.train", "crossfit.cli._run_cells", "crossfit.cli.evaluate",
-                     "crossfit.cli.finite_outputs", "crossfit.synthdata.generate_dataset"):
+        for name in ("crossfit.cli.train", "crossfit.cli._run_cells",
+                     "crossfit.cli.predict_dataset", "crossfit.cli.finite_outputs",
+                     "crossfit.synthdata.generate_dataset"):
             monkeypatch.setattr(name, no_work)
         (tmp_path / "file").write_text("not a directory")
         names = {"data": data_dir, "cfg": tiny_config, "ckpt": trained_ckpt, "tmp": tmp_path}
@@ -889,21 +959,71 @@ class TestRefusedPaths:
         assert not (tmp_path / "nodir").exists()
 
 
-class TestBlasThreads:
-    """`compare` runs each cell on one BLAS thread in a spawned worker, so the
-    host reaches its report only as the `workers` count."""
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS on two threads for the test, so that a scope pinning
+    one shows on any host; the library's get_num_threads."""
+    get, put = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
+    if get is None or put is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS this process can ask")
+    before = get()
+    put(2)
+    yield get
+    put(before)
 
-    def test_cells_run_one_thread_and_leave_the_parent(self, data_dir, tiny_config, tmp_path):
-        threads, env = cli._blas_threads(), dict(os.environ)
-        report = tmp_path / "c.json"
-        assert run_cli("compare", "--data", data_dir, "--config", tiny_config,
-                       "--strategies", "feat_max", "--seeds", "1,2",
-                       "--report", str(report)) == 0
-        table = json.loads(report.read_text())
-        assert table["workers"] == min(2, cli._usable_cpus())
-        one = None if threads is None else 1  # null where OpenBLAS cannot be asked
-        assert [c["blas_threads"] for c in table["cells"]] == [one, one]
-        assert cli._blas_threads() == threads and dict(os.environ) == env
+
+def _note_threads(monkeypatch, names, get) -> list:
+    """Wrap each `cli` function in `names` to note the BLAS thread count it
+    starts on; the list they append to."""
+    seen = []
+    for name in names:
+        def spy(*args, _real=getattr(cli, name), **kwargs):
+            seen.append(get())
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+class TestBlasThreads:
+    """Every command, and each `compare` cell in its spawned worker, runs
+    model work on one BLAS thread and gives the thread count back after, so
+    the host reaches a report only as `compare`'s `workers` count."""
+
+    @pytest.mark.parametrize("command, work", [("train", "train"), ("eval", "predict_dataset"),
+                                               ("inspect", "finite_outputs")])
+    def test_model_work_runs_one_thread(self, data_dir, tiny_config, trained_ckpt, tmp_path,
+                                        monkeypatch, blas_threads, command, work):
+        seen = _note_threads(monkeypatch, [work], blas_threads)
+        argv = {"train": ["--config", tiny_config, "--out", str(tmp_path / "m.bin"),
+                          "--set", "train.epochs=1"],
+                "eval": ["--ckpt", trained_ckpt, "--report", str(tmp_path / "r.json")],
+                "inspect": ["--ckpt", trained_ckpt, "--eye", "0", "--out", str(tmp_path / "p")]}
+        assert run_cli(command, "--data", data_dir, *argv[command]) == 0
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_commands_give_the_count_back(self, data_dir, tiny_config, trained_ckpt,
+                                                 tmp_path, blas_threads):
+        huge = tmp_path / "huge.bin"
+        TestEval._fill_head(trained_ckpt, 3e38, huge)
+        runs = [
+            (1, "train", "--config", tiny_config, "--set", "model.strategy=feat_max",
+             "--set", "train.lr=1e9", "--out", str(tmp_path / "m.bin")),
+            (2, "eval", "--ckpt", str(huge), "--report", str(tmp_path / "r.json")),
+            (2, "inspect", "--ckpt", trained_ckpt, "--eye", "9999", "--out", str(tmp_path / "p")),
+        ]
+        for code, *argv in runs:
+            assert run_cli(*argv, "--data", data_dir) == code, argv[0]
+            assert blas_threads() == 2, argv[0]
+
+    def test_cells_run_one_thread_and_leave_the_parent(self, data_dir, tiny_config,
+                                                       monkeypatch, blas_threads):
+        seen = _note_threads(monkeypatch, ["train", "predict_dataset"], blas_threads)
+        base, env = _merged_config(argparse.Namespace(config=tiny_config)), dict(os.environ)
+        cell = cli._train_eval_cell((data_dir, base, {"model.strategy": "feat_max"}, 1))
+        assert seen == [1, 1] and np.isfinite(cell["kappa"])
+        assert blas_threads() == 2 and dict(os.environ) == env
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_report_is_the_same_on_one_cpu(self, data_dir, tiny_config, tmp_path):
@@ -1034,7 +1154,8 @@ def test_docstring_lists_every_subcommand():
 
 def test_only_set_and_the_axes_set_config_keys():
     """No per-key flag copies the config schema: `train` sets keys only
-    through --config and --set, `compare` also through its three axes."""
+    through --config and --set, `compare` also through its three axes, and
+    `eval` through none."""
     parser = cli._build_parser()
     sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {name: {flag for a in p._actions for flag in a.option_strings}
@@ -1042,6 +1163,8 @@ def test_only_set_and_the_axes_set_config_keys():
     common = {"-h", "--help", "--data", "--config", "--set"}
     assert flags["train"] == common | {"--out"}
     assert flags["compare"] == common | {"--report", "--strategies", "--vary", "--seeds"}
+    # eval splits by the checkpoint's data.train_frac, and takes no config key
+    assert flags["eval"] == {"-h", "--help", "--data", "--ckpt", "--report", "--subset"}
 
 
 def test_docstring_examples_parse():
