@@ -153,10 +153,11 @@ def _load_dataset(path: str, model_cfg: CrossFiTConfig) -> sd.ArrayDataset:
     """The dataset at `path`, refused when a grade has no class in the model
     or the images are not the encoder's size."""
     data = sd.load_dataset(path, num_classes=model_cfg.num_classes)
-    size = data.images1.shape[1]
-    if size != model_cfg.encoder.input_size:
-        raise UsageError(f"dataset images are {size}x{size} but the encoder "
-                         f"expects {model_cfg.encoder.input_size}")
+    h, w = data.images1.shape[1:3]
+    size = model_cfg.encoder.input_size
+    if h != size or w != size:
+        raise UsageError(f"dataset images are {w}x{h} but the encoder "
+                         f"expects {size}x{size}")
     return data
 
 

@@ -12,9 +12,10 @@ lesions across field-1-only, overlap, and field-2-only zones, which makes
 cross-field aggregation (not per-field maxing) the thing that resolves
 grade boundaries.
 
-Field images are rendered at S x S, quantized to 8 bits, and written as
-binary PPM plus a JSON-Lines manifest. Everything is a pure function of
-(seed, eye_id, config).
+Field images are rendered at S x S, quantized to 8 bits, kept as those
+uint8 pixels, and written as binary PPM plus a JSON-Lines manifest;
+`_unit_floats` is the one conversion to float32 [0, 1]. Everything is a
+pure function of (seed, eye_id, config).
 
 The frame of a size (pixel centres, vignette falloff, aperture rim) is built
 once and shared read-only by every field of that size. The macula, the optic
@@ -127,13 +128,17 @@ class RetinaScene:
 
 @dataclass
 class TwoFieldSample:
-    image1: np.ndarray       # (S, S, 3) float32 in [0,1], 8-bit quantized
-    image2: np.ndarray
+    """One eye: each field as the (S, S, 3) uint8 pixels of its PPM.
+    `image1`/`image2` allocate a fresh float32 [0, 1] copy on every access."""
+    pixels1: np.ndarray
+    pixels2: np.ndarray
     od1: RelCoord
     od2: RelCoord
     grade: int
     eye_id: int
     split_evidence: bool
+    image1 = property(lambda self: _unit_floats([self.pixels1])[0])
+    image2 = property(lambda self: _unit_floats([self.pixels2])[0])
 
 
 def grade_rule(lesions) -> int:
@@ -549,7 +554,7 @@ def render_field(scene: RetinaScene, center: str):
 
 
 def _quantize(img: np.ndarray) -> np.ndarray:
-    return (np.round(img * 255.0) / 255.0).astype(np.float32)
+    return np.round(img * 255.0).astype(np.uint8)
 
 
 def generate_eye(seed: int, eye_id: int, cfg: GenConfig = GenConfig()) -> TwoFieldSample:
@@ -617,16 +622,15 @@ def read_ppm(path: str) -> np.ndarray:
 
 
 def write_dataset(samples, out_dir: str) -> None:
+    """Each eye's stored pixels as two PPMs, plus one manifest line per eye."""
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
     records = []
     for s in samples:
         f1 = f"images/{s.eye_id}_f1.ppm"
         f2 = f"images/{s.eye_id}_f2.ppm"
-        write_ppm(os.path.join(out_dir, f1),
-                  np.round(s.image1 * 255.0).astype(np.uint8))
-        write_ppm(os.path.join(out_dir, f2),
-                  np.round(s.image2 * 255.0).astype(np.uint8))
+        write_ppm(os.path.join(out_dir, f1), s.pixels1)
+        write_ppm(os.path.join(out_dir, f2), s.pixels2)
         records.append({"eye_id": int(s.eye_id), "field1_path": f1, "field2_path": f2,
                         "od1_x": float(s.od1.x), "od1_y": float(s.od1.y),
                         "od2_x": float(s.od2.x), "od2_y": float(s.od2.y),
@@ -668,8 +672,8 @@ class ArrayDataset:
     @classmethod
     def from_samples(cls, samples) -> "ArrayDataset":
         return cls(
-            images1=np.stack([s.image1 for s in samples]),
-            images2=np.stack([s.image2 for s in samples]),
+            images1=_unit_floats([s.pixels1 for s in samples]),
+            images2=_unit_floats([s.pixels2 for s in samples]),
             od1=np.array([[s.od1.x, s.od1.y] for s in samples]),
             od2=np.array([[s.od2.x, s.od2.y] for s in samples]),
             grades=np.array([s.grade for s in samples], dtype=np.int64),
@@ -688,7 +692,7 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
     if not os.path.isfile(manifest):
         raise DataError(f"no manifest at {manifest}")
     root = os.path.abspath(data_dir)
-    records, pixels1, pixels2 = [], [], []
+    samples: list[TwoFieldSample] = []
     seen_ids: set[int] = set()
     try:
         with open(manifest, encoding="utf-8") as fh:
@@ -736,27 +740,22 @@ def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
                 raise DataError(f"eye {eye}: missing image file {rec[k]}")
             paths.append(p)
         img1, img2 = read_ppm(paths[0]), read_ppm(paths[1])
-        want = pixels1[0].shape if pixels1 else img1.shape
+        want = samples[0].pixels1.shape if samples else img1.shape
         for k, img in (("field1_path", img1), ("field2_path", img2)):
             if img.shape != want:
                 raise DataError(f"eye {eye}: {k} is {img.shape[1]}x{img.shape[0]}, "
                                 f"expected {want[1]}x{want[0]} like the other images")
-        records.append(rec)
-        pixels1.append(img1)
-        pixels2.append(img2)
-    if not records:
+        samples.append(TwoFieldSample(
+            img1, img2, RelCoord(rec["od1_x"], rec["od1_y"]),
+            RelCoord(rec["od2_x"], rec["od2_y"]), rec["grade"], eye, rec["split_evidence"]))
+    if not samples:
         raise DataError(f"{manifest}: no records")
-    return ArrayDataset(
-        images1=_unit_floats(pixels1), images2=_unit_floats(pixels2),
-        od1=np.array([[r["od1_x"], r["od1_y"]] for r in records]),
-        od2=np.array([[r["od2_x"], r["od2_y"]] for r in records]),
-        grades=np.array([r["grade"] for r in records], dtype=np.int64),
-        split_evidence=np.array([r["split_evidence"] for r in records], dtype=bool),
-        eye_ids=np.array([r["eye_id"] for r in records], dtype=np.int64))
+    return ArrayDataset.from_samples(samples)
 
 
 def _unit_floats(pixels: list) -> np.ndarray:
-    """8-bit images -> one (n, S, S, 3) float32 array in [0, 1]."""
+    """8-bit images -> one (n, S, S, 3) float32 array in [0, 1]: the one
+    conversion of pixels to floats, so every path gives the same bits."""
     out = np.stack(pixels, dtype=np.float32)
     out /= 255.0
     return out

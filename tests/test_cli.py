@@ -258,6 +258,23 @@ class TestTrain:
                        "--out", str(tmp_path / "m.bin")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_square_images_exit_2(self, trained_ckpt, tiny_config, tmp_path, capsys,
+                                      command):
+        """Fields 64 high and 48 wide match the encoder's size on one extent
+        only: refused as W x H, not by a shape error inside the encoder."""
+        path = str(tmp_path / "eyes")
+        assert run_cli("gen-data", "--out", path, "--n", "3", "--seed", "5") == 0
+        for name in os.listdir(os.path.join(path, "images")):
+            sd.write_ppm(os.path.join(path, "images", name), np.zeros((64, 48, 3), np.uint8))
+        if command == "train":
+            argv = ["--config", tiny_config, "--out", str(tmp_path / "m.bin")]
+        else:
+            argv = ["--ckpt", trained_ckpt, "--report", str(tmp_path / "r.json")]
+        assert run_cli(command, "--data", path, *argv) == 2
+        assert capsys.readouterr().err == ("error: dataset images are 48x64 but the "
+                                           "encoder expects 64x64\n")
+
     def test_split_without_train_eyes_exits_2(self, two_eyes, tmp_path, capsys):
         cfg_path = str(tmp_path / "c.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:

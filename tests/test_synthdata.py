@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from crossfit.geometry import RelCoord
 from crossfit.synthdata import (
     _ARTIFACT_SHADE, _BLOB_COLOR, _DOT_COLOR, _EDGE_PAD, _LESION_ZONE,
     _OD_COLOR, _STREAK_COLOR, APERTURE, MIN_SIZE, ArrayDataset, DataError,
-    GenConfig, Lesion, RetinaScene, _bounding_radius, _capsule_alpha,
-    _disc_alpha, _dist, _pixel_box, _place_lesion, _quad_mask,
-    generate_dataset, generate_eye, generate_scene, grade_histogram,
+    GenConfig, Lesion, RetinaScene, TwoFieldSample, _bounding_radius,
+    _capsule_alpha, _disc_alpha, _dist, _pixel_box, _place_lesion, _quad_mask,
+    _unit_floats, generate_dataset, generate_eye, generate_scene, grade_histogram,
     grade_rule, load_dataset, read_ppm, render_field, write_dataset,
     write_ppm,
 )
@@ -822,6 +823,75 @@ class TestPersistence:
         total = sum(os.path.getsize(os.path.join(tmp_path, "images", f))
                     for f in os.listdir(tmp_path / "images"))
         assert total < 60 * 2 * 16000  # well under the size budget per eye
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def golden96(tmp_path_factory):
+    """The size-96 golden set, generated and read back from disk."""
+    seed, n, kw, _ = _GOLDEN[2].values
+    samples = generate_dataset(seed, n, GenConfig(**kw))
+    out = str(tmp_path_factory.mktemp("golden96"))
+    write_dataset(samples, out)
+    return samples, load_dataset(out)
+
+
+class TestEightBitPixels:
+    """Eyes hold their fields as 8-bit pixels; every float32 view of them
+    comes from `_unit_floats`, so it has the bits `load_dataset` reads."""
+
+    def test_every_level_converts_alike(self, tmp_path):
+        """All 256 levels give the same float32 bits through the helper, the
+        sample property, `from_samples` and `load_dataset`: the nearest
+        float32 to level / 255, as the generator's float32 fields held."""
+        levels = np.repeat(np.arange(256, dtype=np.uint8).reshape(16, 16, 1), 3, axis=2)
+        s = TwoFieldSample(levels, levels, RelCoord(0.5, 0.5), RelCoord(0.5, 0.5),
+                           grade=0, eye_id=0, split_evidence=False)
+        write_dataset([s], str(tmp_path))
+        want = _unit_floats([levels])[0]
+        assert _same_bits(want[..., 0].ravel(), (np.arange(256) / 255.0).astype(np.float32))
+        for got in (s.image1, s.image2, ArrayDataset.from_samples([s]).images1[0],
+                    load_dataset(str(tmp_path)).images1[0]):
+            assert _same_bits(got, want)
+
+    def test_pixels_are_uint8_and_images_fresh_copies(self, golden96):
+        samples, _ = golden96
+        for s in samples:
+            for px in (s.pixels1, s.pixels2):
+                assert px.dtype == np.uint8 and px.shape == (96, 96, 3)
+        a, b = samples[0].image1, samples[0].image1
+        assert a.dtype == np.float32 and not np.shares_memory(a, b)
+        assert not np.shares_memory(a, samples[0].pixels1)
+
+    def test_images_equal_loaded_images(self, golden96):
+        samples, ds = golden96
+        assert len(ds) == len(samples)
+        for i, s in enumerate(samples):
+            assert _same_bits(s.image1, ds.images1[i])
+            assert _same_bits(s.image2, ds.images2[i])
+
+    def test_from_samples_equals_load_dataset(self, golden96):
+        samples, ds = golden96
+        got = ArrayDataset.from_samples(samples)
+        for f in dataclasses.fields(ArrayDataset):
+            assert _same_bits(getattr(got, f.name), getattr(ds, f.name)), f.name
+
+    def test_generated_eyes_hold_about_their_pixel_bytes(self):
+        """16 eyes hold at most twice their pixel bytes: no float32 copy of a
+        field (4x the pixels) outlives `generate_dataset`."""
+        generate_eye(0, 0)           # builds `_frame(64)`, a cache shared by later calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = generate_dataset(0, 16)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        pixel_bytes = sum(s.pixels1.nbytes + s.pixels2.nbytes for s in samples)
+        assert held <= 2 * pixel_bytes, f"{held} bytes held for {pixel_bytes} pixel bytes"
 
 
 if __name__ == "__main__":
