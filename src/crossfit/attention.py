@@ -190,8 +190,6 @@ class CfaStack:
         def with_pe(f, pe):
             if pe is None:
                 return f
-            if isinstance(pe, Tensor):
-                return ad.add(f, pe)
             return ad.add(f, Tensor(np.asarray(pe, dtype=f.dtype)))
 
         x = ad.concat([with_pe(f1, pe1), with_pe(f2, pe2)], axis=1)
@@ -211,8 +209,7 @@ class CfaStack:
         return x[:, :l], x[:, l:], rec
 
 
-def export_attention_record(rec: AttentionRecord, out_dir: str,
-                            prefix: str = "attn_layer") -> list[str]:
+def export_attention_record(rec: AttentionRecord, out_dir: str) -> list[str]:
     """One file per layer: a JSON metadata line, then the row-major weights
     as little-endian float32."""
     os.makedirs(out_dir, exist_ok=True)
@@ -224,7 +221,7 @@ def export_attention_record(rec: AttentionRecord, out_dir: str,
         payload = a.astype("<f4").tobytes(order="C")
         head = {"layer": i, "shape": list(a.shape), "dtype": "<f4",
                 "order": "row-major", "payload_bytes": len(payload)}
-        path = os.path.join(out_dir, f"{prefix}{i}.bin")
+        path = os.path.join(out_dir, f"attn_layer{i}.bin")
         with open(path, "wb") as fh:
             fh.write((json.dumps(head) + "\n").encode("utf-8"))
             fh.write(payload)

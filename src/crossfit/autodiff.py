@@ -41,7 +41,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "ContractError", "DegenerateRowError",
     "LabelError", "tensor", "parameter", "backward", "no_grad", "active_tape",
-    "set_default_dtype", "default_dtype", "default_dtype_scope", "make_rng",
+    "default_dtype", "default_dtype_scope", "make_rng",
     "add", "mul", "scale", "matmul", "relu", "gelu",
     "softmax_lastdim", "layer_norm", "conv2d", "check_conv2d_geometry",
     "cross_entropy_logits",
@@ -70,28 +70,23 @@ class LabelError(ValueError):
 _DEFAULT_DTYPE = np.float64
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch between test mode (float64) and fast mode (float32)."""
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported dtype {dt}; use float32 or float64")
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dt.type
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
 def default_dtype_scope(dtype):
-    """Use `dtype` as the default inside the block; restore the prior one on exit."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Use `dtype`, test mode's float64 or fast mode's float32, as the default
+    inside the block; restore the prior one on exit."""
+    global _DEFAULT_DTYPE
+    dt = np.dtype(dtype)
+    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ContractError(f"unsupported dtype {dt}; use float32 or float64")
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 _M_TRIM_THRESHOLD = -1
@@ -733,24 +728,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 # parameter-owning layers
 
 
-def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
-                   dtype=None) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype or _DEFAULT_DTYPE)
+    return rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE)
 
 
 class Linear:
     """Affine layer with xavier-uniform weight, zero bias."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, dtype=None,
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
                  zero_init: bool = False):
-        dt = dtype or _DEFAULT_DTYPE
         if zero_init:
-            w = np.zeros((d_in, d_out), dtype=dt)
+            w = np.zeros((d_in, d_out))
         else:
-            w = xavier_uniform(rng, (d_in, d_out), d_in, d_out, dt)
-        self.w = parameter(w, dtype=dt)
-        self.b = parameter(np.zeros(d_out, dtype=dt), dtype=dt)
+            w = xavier_uniform(rng, (d_in, d_out), d_in, d_out)
+        self.w = parameter(w)
+        self.b = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
@@ -763,14 +756,12 @@ class Linear:
 class LayerNorm:
     """Last-axis layer normalization with learned affine (gamma=1, beta=0 init)."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=None):
-        dt = dtype or _DEFAULT_DTYPE
-        self.gamma = parameter(np.ones(dim, dtype=dt), dtype=dt)
-        self.beta = parameter(np.zeros(dim, dtype=dt), dtype=dt)
-        self.eps = eps
+    def __init__(self, dim: int):
+        self.gamma = parameter(np.ones(dim))
+        self.beta = parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
     def parameters(self):
         yield "gamma", self.gamma

@@ -291,7 +291,10 @@ def cmd_gen_data(args) -> int:
     if os.path.isdir(out) and os.listdir(out):
         if not args.force:
             raise UsageError(f"{out} exists and is not empty (use --force to replace)")
-        shutil.rmtree(out)
+        try:
+            shutil.rmtree(out)
+        except OSError as err:
+            raise UsageError(f"--out {out}: cannot replace it: {err}") from None
     _check_out_dir("--out", out)
     samples = sd.generate_dataset(args.seed, args.n, cfg)
     sd.write_dataset(samples, out)

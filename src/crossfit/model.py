@@ -32,7 +32,7 @@ __all__ = [
 
 STRATEGIES = ("crossfit", "feat_max", "feat_avg", "feat_concat",
               "pred_avg", "pred_max", "single_field_1", "single_field_2")
-PE_MODES = ("aligned", "regular", "learnable", "none")
+PE_MODES = ("aligned", "regular", "none")
 
 _SINGLE_STRATEGIES = ("single_field_1", "single_field_2")
 _DECISION_STRATEGIES = ("pred_avg", "pred_max")
@@ -109,14 +109,10 @@ class CrossFiTModel:
         d_e, d_t, c = cfg.encoder.d_e, cfg.cfa.d_t, cfg.num_classes
         self.proj = None
         self.stack = None
-        self.pe_table = None
         if cfg.strategy == "crossfit":
             self.proj = ad.Linear(rng, d_e, d_t)
             self.stack = CfaStack(rng, cfg.cfa)
             self.head = ad.Linear(rng, d_t, c)
-            if cfg.pe_mode == "learnable":
-                table = rng.normal(0.0, 0.02, size=(2 * cfg.tokens_per_field, d_t))
-                self.pe_table = ad.parameter(table.astype(ad.default_dtype()))
         elif cfg.strategy == "feat_concat":
             self.head = ad.Linear(rng, 2 * d_e, c)
         else:
@@ -129,8 +125,6 @@ class CrossFiTModel:
         if self.proj is not None:
             for name, t in self.proj.parameters():
                 yield f"proj.{name}", t
-        if self.pe_table is not None:
-            yield "pe.table", self.pe_table
         if self.stack is not None:
             yield from self.stack.parameters()
         for name, t in self.head.parameters():
@@ -155,8 +149,8 @@ class CrossFiTModel:
         return ad.reshape(x, (b, h * w, d))
 
     def _position_embeddings(self, od1: np.ndarray, od2: np.ndarray):
-        """Embedding arrays (or parameter slices) for each field: (l, d_t)
-        when shared by every eye, (b, l, d_t) when aligned per eye."""
+        """Embedding arrays for each field: (l, d_t) when shared by every
+        eye, (b, l, d_t) when aligned per eye."""
         cfg = self.cfg
         mode = cfg.pe_mode
         if mode == "none":
@@ -164,8 +158,6 @@ class CrossFiTModel:
         l = cfg.tokens_per_field
         side = cfg.encoder.feature_side
         d_t = cfg.cfa.d_t
-        if mode == "learnable":
-            return self.pe_table[:l, :], self.pe_table[l:, :]
         if mode == "regular":
             pe = regular_position_embedding(side, d_t)
             return pe, pe

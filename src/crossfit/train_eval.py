@@ -31,7 +31,7 @@ __all__ = [
     "MetricsReport", "sgd_momentum_step", "quadratic_weighted_kappa", "roc_auc_ovr",
     "finite_outputs", "predict_dataset", "evaluate", "train", "Checkpoint", "field_defaults",
     "save_checkpoint", "load_checkpoint", "json_type_error", "config_from_dict",
-    "model_config_to_dict", "model_config_from_dict", "build_model_from_checkpoint",
+    "build_model_from_checkpoint",
 ]
 
 CHECKPOINT_MAGIC = b"CFIT"
@@ -332,11 +332,6 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
 # checkpoint persistence
 
 
-def model_config_to_dict(cfg: CrossFiTConfig) -> dict:
-    """The header's form of `cfg`: its fields, nested configs as dicts."""
-    return asdict(cfg)
-
-
 def _json_type(v) -> str:
     """The JSON type of a config value, in the words an error message uses."""
     if isinstance(v, bool):
@@ -423,12 +418,6 @@ def config_from_dict(cls, d, prefix: str = ""):
     return cls(**values)
 
 
-def model_config_from_dict(d: dict) -> CrossFiTConfig:
-    """Inverse of `model_config_to_dict`; raises ContractError as
-    `config_from_dict` does."""
-    return config_from_dict(CrossFiTConfig, d)
-
-
 @dataclass
 class Checkpoint:
     """Named float32 tensors plus the configs needed to rebuild the model."""
@@ -443,7 +432,7 @@ class Checkpoint:
         tensors = OrderedDict()
         for name, p in model.parameters():
             tensors[f"param/{name}"] = p.data.astype(np.float32)
-        config = {"model": model_config_to_dict(model.cfg)}
+        config = {"model": asdict(model.cfg)}
         if train_cfg is not None:
             config["train"] = asdict(train_cfg)
         return cls(config, tensors, step)
@@ -474,7 +463,8 @@ def build_model_from_checkpoint(ckpt: Checkpoint,
     except (KeyError, TypeError):
         raise CheckpointError("checkpoint holds no model config") from None
     try:
-        model = CrossFiTModel(rng or ad.make_rng(0), model_config_from_dict(stored))
+        model = CrossFiTModel(rng or ad.make_rng(0),
+                              config_from_dict(CrossFiTConfig, stored))
     except ContractError as err:
         raise CheckpointError(f"checkpoint holds no valid model config: {err}") from None
     ckpt.restore(model)

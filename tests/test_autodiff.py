@@ -597,14 +597,17 @@ def test_make_rng_deterministic():
 
 
 def test_default_dtype_switch():
-    ad.set_default_dtype(np.float32)
-    try:
+    with ad.default_dtype_scope(np.float32):
         assert tensor([1.0]).dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
     assert tensor([1.0]).dtype == np.float64
-    with pytest.raises(ContractError):
-        ad.set_default_dtype(np.int32)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.default_dtype_scope(np.float32):
+            raise RuntimeError("inside")
+    assert tensor([1.0]).dtype == np.float64
+    with pytest.raises(ContractError, match="unsupported dtype int32"):
+        with ad.default_dtype_scope(np.int32):
+            raise AssertionError("a refused dtype entered the block")
+    assert ad.default_dtype() is np.float64
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,18 @@ class TestGenData:
         assert run_cli("gen-data", "--out", data_dir, "--n", "24",
                        "--seed", "5", "--force") == 0
 
+    def test_force_on_a_symlink_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "eyes"
+        target.mkdir()
+        (target / "kept.txt").write_text("x")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert run_cli("gen-data", "--out", str(link), "--n", "2", "--force") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {link}: cannot replace it: ")
+        assert err.count("\n") == 1
+        assert os.listdir(target) == ["kept.txt"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_cli("gen-data", "--out", a, "--n", "6", "--seed", "9")
@@ -430,6 +442,16 @@ class TestEval:
         assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
                        "--report", str(tmp_path / "r.json")) == 2
         assert "no valid model config" in capsys.readouterr().err
+
+    def test_learnable_pe_checkpoint_exits_2(self, trained_ckpt, data_dir, tmp_path, capsys):
+        bad = tmp_path / "learnable.bin"
+        _rewrite_header(trained_ckpt, bad,
+                        lambda header: header["config"]["model"].update(pe_mode="learnable"))
+        assert run_cli("eval", "--data", data_dir, "--ckpt", str(bad),
+                       "--report", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint holds no valid model config: unknown pe mode 'learnable'; "
+            "one of ('aligned', 'regular', 'none')\n")
 
     @staticmethod
     def _fill_head(ckpt: str, value: float, out, name: str = "param/head.w") -> None:
@@ -792,11 +814,12 @@ class TestSet:
         (["model.mask=off"], "config key 'model.mask' must be true or false"),
         (["model.strategy=bogus"], "unknown strategy 'bogus'; one of ('crossfit'"),
         (["model.pe_mode=bogus"], "unknown pe mode 'bogus'"),
+        (["model.pe_mode=learnable"], "unknown pe mode 'learnable'"),
         (["cfa.layers"], "bad --set 'cfa.layers'; expected KEY=VALUE"),
         (["cfa.layers=1", "cfa.layers=2"], "config key 'cfa.layers' is set twice"),
         (["cfa.threshold=1.5"], "mask threshold 1.5 outside [0,1]"),
     ], ids=["unknown-key", "mistyped-int", "mistyped-bool", "bad-strategy", "bad-pe-mode",
-            "no-value", "set-twice", "bad-threshold"])
+            "learnable-pe-mode", "no-value", "set-twice", "bad-threshold"])
     def test_refused_before_any_work(self, data_dir, tiny_config, tmp_path, monkeypatch,
                                      capsys, command, sets, message):
         def no_work(*_args, **_kwargs):

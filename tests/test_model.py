@@ -282,7 +282,7 @@ def test_single_field_loss_identical_fields_doubles():
 
 
 def test_crossfit_loss_gradients_reach_all_parameters():
-    cfg = micro_cfg(pe_mode="learnable")
+    cfg = micro_cfg(pe_mode="aligned")
     model = CrossFiTModel(make_rng(24), cfg)
     i1, i2, od1, od2 = rand_pair(25, n=2)
     loss = model.loss_batch(i1, i2, od1, od2, [0, 2])

@@ -2,7 +2,7 @@
 
 One training step's logits, loss and every parameter gradient, at the CLI
 default config on a fixed batch of four generated eyes, for all 8 strategies
-with the mask on and off, and for `crossfit` under each of the 4 PE modes.
+with the mask on and off, and for `crossfit` under each of the 3 PE modes.
 For the two decision-level strategies the logits also include the fused
 probabilities (`fuse_decisions`), the only output that tells them apart.
 A change to the model or the tape that alters a single bit shows here.
@@ -79,20 +79,6 @@ PINNED = {
          1.8547491130056797, 1.8547491130056797),
         ("6eb963159055b0a8253efd2944caf1ce5bf1597658ef7d8bf9ce8d897152ef23",
          13.636056883591372, 0.0472619059285877)),
-    "crossfit/learnable/mask-on": (
-        ("f3e6e595fdc2e4f3de69e55798a13b4106fac0323626ae5d34458eece5fc70bd",
-         2.3262745566770677, -0.20213066338025734),
-        ("b589366e8d14706fbd7ca806074058e7ce3429f0c56db7d66198446bb02b471a",
-         1.7399170385756202, 1.7399170385756202),
-        ("882a8196a2b16d9e87178c321bb530692fdcf209dc6787a1ae31704693693074",
-         12.483504867574705, -0.013757233881302311)),
-    "crossfit/learnable/mask-off": (
-        ("617cf94f40dd9872f3dd923b78da29f124126bf07cd6c9893b5267280a4a951c",
-         2.290580294217358, -0.21468478380930128),
-        ("3434cb2f7fb90407203d6619fde77b86224e66cd7d1a8fb505d712cceaebafcd",
-         1.7394101155572608, 1.7394101155572608),
-        ("b3621e9bca77d773b31974263ee72b30bde170e4c248a70d9eea3f23e327a251",
-         12.679860395492408, -0.01336921359880219)),
     "crossfit/none/mask-on": (
         ("a7eed212b2417d2c1d606340e1263399f4ec648a14823dec5b9c869d0c4e11df",
          1.9639980908407675, -0.5218988288390756),
@@ -290,6 +276,10 @@ def _moved(got, want, changed) -> list[str]:
     """Each kind whose fingerprints `changed`, with its relative L2 change."""
     return [f"{kind} (relative L2 change >= {_relative_change(g, w):.1e})"
             for kind, g, w in zip(KINDS, got, want) if changed(g, w)]
+
+
+def test_every_row_has_a_pin_and_every_pin_a_row():
+    assert set(PINNED) == set(_rows())
 
 
 @pytest.mark.parametrize("row", _rows())

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,8 +18,8 @@ from crossfit.encoder import EncoderConfig
 from crossfit.model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
-    NonFiniteOutputError, build_model_from_checkpoint, evaluate, load_checkpoint,
-    metrics_from_predictions, model_config_from_dict, model_config_to_dict,
+    NonFiniteOutputError, build_model_from_checkpoint, config_from_dict, evaluate,
+    load_checkpoint, metrics_from_predictions,
     predict_dataset, quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
     train, _average_ranks,
 )
@@ -534,26 +535,26 @@ def test_checkpoint_corrupt_header_typed(tmp_path):
     ("encoder", "stride", [2.0, 2]), ("encoder", "input_size", True),
 ])
 def test_checkpoint_config_value_of_wrong_json_type_rejected(section, key, value):
-    stored = model_config_to_dict(micro_model(27).cfg)
+    stored = asdict(micro_model(27).cfg)
     (stored[section] if section else stored)[key] = value
     name = f"{section}.{key}" if section else key
     with pytest.raises(ContractError, match=f"^{name} must be"):
-        model_config_from_dict(stored)
+        config_from_dict(CrossFiTConfig, stored)
 
 
 def test_checkpoint_config_takes_an_integer_where_a_number_or_stages_go():
     cfg = micro_model(28).cfg
-    stored = model_config_to_dict(cfg)
+    stored = asdict(cfg)
     stored["cfa"]["threshold"] = 0
     stored["encoder"]["stride"] = 2
-    got = model_config_from_dict(stored)
+    got = config_from_dict(CrossFiTConfig, stored)
     assert got.cfa.threshold == 0 and got.encoder.stride == cfg.encoder.stride
 
 
 def test_checkpoint_config_ignores_unread_keys():
     cfg = micro_model(24).cfg
-    stored = dict(model_config_to_dict(cfg), grid_size=None)   # an older header's field
-    assert model_config_to_dict(model_config_from_dict(stored)) == model_config_to_dict(cfg)
+    stored = dict(asdict(cfg), grid_size=None)   # an older header's field
+    assert asdict(config_from_dict(CrossFiTConfig, stored)) == asdict(cfg)
 
 
 @st.composite
@@ -587,21 +588,21 @@ def _valid_model_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_valid_model_configs())
 def test_checkpoint_config_round_trips(cfg):
-    stored = model_config_to_dict(cfg)
-    assert model_config_from_dict(stored) == cfg
-    assert model_config_from_dict(json.loads(json.dumps(stored))) == cfg
+    stored = asdict(cfg)
+    assert config_from_dict(CrossFiTConfig, stored) == cfg
+    assert config_from_dict(CrossFiTConfig, json.loads(json.dumps(stored))) == cfg
 
 
 def test_checkpoint_config_without_zero_init_out_reads_false():
     """Headers written before `cfa.zero_init_out` existed lack it; any other
     missing field is an error."""
     cfa = CfaConfig(layers=1, heads=2, d_t=8, mlp_ratio=2, zero_init_out=True)
-    stored = model_config_to_dict(micro_model(29, cfa=cfa).cfg)
+    stored = asdict(micro_model(29, cfa=cfa).cfg)
     del stored["cfa"]["zero_init_out"]
-    assert model_config_from_dict(stored).cfa.zero_init_out is False
+    assert config_from_dict(CrossFiTConfig, stored).cfa.zero_init_out is False
     del stored["cfa"]["heads"]
     with pytest.raises(ContractError, match="^cfa.heads is missing"):
-        model_config_from_dict(stored)
+        config_from_dict(CrossFiTConfig, stored)
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
