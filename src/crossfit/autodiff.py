@@ -186,8 +186,8 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 class _Node:
