@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation on a tape.
 
 Tensors wrap numpy arrays, in any memory layout: `conv2d`, for one, hands
-out an NCHW view of channels-last memory. New tensors take the default dtype:
-float64 (test mode) unless a block opts into float32 (fast mode) with
-`default_dtype_scope`, as the CLI's train, eval, compare and inspect commands
-do for their own duration only. Every differentiable op appends one node to
+out an NCHW view of channels-last memory. A tensor keeps its data's float
+dtype (other data becomes float64), and every op computes in its operands'
+dtypes, as numpy does: a float32 model runs in float32 wherever it is
+called. The default dtype is read only when `parameter` creates a
+parameter: float64 (test mode) unless the construction runs inside
+`default_dtype_scope(np.float32)` (fast mode), as the CLI's model
+construction does. Every differentiable op appends one node to
 the active tape; backward replays the tape once in reverse, accumulating
 gradients into every requires_grad leaf. No graph optimization, no
 higher-order derivatives.
@@ -40,8 +43,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "ContractError", "DegenerateRowError",
-    "LabelError", "tensor", "parameter", "backward", "no_grad", "active_tape",
-    "default_dtype", "default_dtype_scope", "make_rng",
+    "LabelError", "parameter", "backward", "no_grad", "active_tape",
+    "default_dtype_scope", "make_rng",
     "add", "mul", "scale", "matmul", "relu", "gelu",
     "softmax_lastdim", "layer_norm", "conv2d", "check_conv2d_geometry",
     "cross_entropy_logits",
@@ -70,14 +73,10 @@ class LabelError(ValueError):
 _DEFAULT_DTYPE = np.float64
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def default_dtype_scope(dtype):
-    """Use `dtype`, test mode's float64 or fast mode's float32, as the default
-    inside the block; restore the prior one on exit."""
+    """Create parameters in `dtype`, test mode's float64 or fast mode's
+    float32, inside the block; restore the prior default on exit."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -139,8 +138,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_slot")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self._slot: _Slot | None = None
 
@@ -172,9 +172,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -182,12 +179,9 @@ class Tensor:
         return slice_(self, idx)
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+    """A trainable tensor of `data` in the default dtype."""
+    return Tensor(np.asarray(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
 
 
 class _Node:
@@ -244,13 +238,9 @@ def no_grad():
         _TAPE.recording = prev
 
 
-def _coerce(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
-
-
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     track = _TAPE.recording and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track, dtype=out_data.dtype)
+    out = Tensor(out_data, requires_grad=track)
     if track:
         slots = tuple(_slot_of(t) if t.requires_grad else None for t in inputs)
         dtypes = tuple(t.data.dtype for t in inputs)
@@ -314,9 +304,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = _coerce(a, _DEFAULT_DTYPE)
-    b = _coerce(b, a.dtype)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     sa, sb = a.shape, b.shape
 
@@ -326,9 +314,7 @@ def add(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a = _coerce(a, _DEFAULT_DTYPE)
-    b = _coerce(b, a.dtype)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.data, b.data
     out = av * bv
 
@@ -730,7 +716,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear:
@@ -782,7 +768,7 @@ def gradcheck(fn: Callable[[], Tensor], params: Sequence[Tensor],
     run untracked. Use float64 parameters; float32 probes are unreliable.
     """
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = fn()
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]

@@ -42,7 +42,6 @@ import re
 import shutil
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -212,11 +211,14 @@ def _check_out_dir(flag: str, path: str) -> None:
         raise UsageError(f"{flag} {path}: {head} is not writable")
 
 
-def _read_checkpoint(path: str):
+def _read_model(path: str):
+    """The checkpoint at `path` and the float32 model it holds."""
     try:
-        return load_checkpoint(path)
+        ckpt = load_checkpoint(path)
     except OSError as err:
         raise UsageError(f"checkpoint {path}: {err.strerror}") from None
+    with ad.default_dtype_scope(np.float32):
+        return ckpt, build_model_from_checkpoint(ckpt)
 
 
 def _openblas(name: str):
@@ -252,21 +254,22 @@ def _fit(model_cfg: CrossFiTConfig, train_cfg: TrainConfig, train_set, on_epoch=
     train.seed: (model, checkpoint). Raises TrainingDiverged as `train` does."""
     with ad.default_dtype_scope(np.float32):
         model = CrossFiTModel(ad.make_rng(train_cfg.seed), model_cfg)
-        ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
+    ckpt, _losses = train(model, train_set, train_cfg, on_epoch=on_epoch)
     return model, ckpt
 
 
 def _score(model: CrossFiTModel, data: sd.ArrayDataset) -> tuple[dict, list]:
     """`model`'s metrics on `data` with `split_acc`, its accuracy on the
-    split-evidence eyes (None without any); and the metrics' warnings."""
-    with ad.default_dtype_scope(np.float32):
-        grades, probs = predict_dataset(model, data)
-    with warnings.catch_warnings(record=True) as caught:  # an undefined class AUC
-        warnings.simplefilter("always")
-        m = metrics_from_predictions(data.grades, grades, probs, model.cfg.num_classes)
+    split-evidence eyes (None without any); and a notice for each class
+    whose AUC is undefined."""
+    grades, probs = predict_dataset(model, data)
+    m = metrics_from_predictions(data.grades, grades, probs, model.cfg.num_classes)
     hits = (grades == data.grades)[data.split_evidence]
     split_acc = float(hits.mean()) if hits.size else None
-    return {**m.to_dict(), "split_acc": split_acc}, [str(w.message) for w in caught]
+    notices = [f"class {c} absent or universal in eval split; its AUC is "
+               f"undefined and excluded from the macro mean"
+               for c, auc in enumerate(m.per_class_auc) if auc is None]
+    return {**m.to_dict(), "split_acc": split_acc}, notices
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ def cmd_gen_data(args) -> int:
     samples = sd.generate_dataset(args.seed, args.n, cfg)
     sd.write_dataset(samples, out)
     summary = {"out": out, "n": args.n, "seed": args.seed, "size": args.size}
-    summary.update(sd.grade_histogram(samples, cfg.num_classes))
+    summary.update(sd.grade_histogram(samples))
     _emit(summary)
     return 0
 
@@ -341,9 +344,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_out_file("--report", args.report)
-    ckpt = _read_checkpoint(args.ckpt)
-    with ad.default_dtype_scope(np.float32):
-        model = build_model_from_checkpoint(ckpt)
+    ckpt, model = _read_model(args.ckpt)
     data = _load_dataset(args.data, model.cfg)
     if args.subset != "all":  # split as `train` did, by the fraction it recorded
         section = ckpt.config.get("data")
@@ -499,26 +500,24 @@ def cmd_compare(args) -> int:
 
 def cmd_inspect(args) -> int:
     _check_out_dir("--out", args.out)
-    ckpt = _read_checkpoint(args.ckpt)
-    with ad.default_dtype_scope(np.float32):
-        model = build_model_from_checkpoint(ckpt)
-        if model.cfg.strategy != "crossfit":
-            raise UsageError(f"attention inspection needs the crossfit strategy; "
-                             f"checkpoint was trained with {model.cfg.strategy!r}")
-        data = _load_dataset(args.data, model.cfg)
-        hits = np.flatnonzero(data.eye_ids == args.eye)
-        if hits.size == 0:
-            raise UsageError(f"eye {args.eye} not in manifest at {args.data}")
-        i = int(hits[0])
+    _, model = _read_model(args.ckpt)
+    if model.cfg.strategy != "crossfit":
+        raise UsageError(f"attention inspection needs the crossfit strategy; "
+                         f"checkpoint was trained with {model.cfg.strategy!r}")
+    data = _load_dataset(args.data, model.cfg)
+    hits = np.flatnonzero(data.eye_ids == args.eye)
+    if hits.size == 0:
+        raise UsageError(f"eye {args.eye} not in manifest at {args.data}")
+    i = int(hits[0])
 
-        def forward():
-            with ad.no_grad():  # no backward follows; the attention record is a copy
-                out, extras = model.forward_batch(
-                    data.images1[i:i + 1], data.images2[i:i + 1],
-                    data.od1[i:i + 1], data.od2[i:i + 1], record=True)
-            return out.data, extras
+    def forward():
+        with ad.no_grad():  # no backward follows; the attention record is a copy
+            out, extras = model.forward_batch(
+                data.images1[i:i + 1], data.images2[i:i + 1],
+                data.od1[i:i + 1], data.od2[i:i + 1], record=True)
+        return out.data, extras
 
-        logits, extras = finite_outputs(forward)
+    logits, extras = finite_outputs(forward)
     os.makedirs(args.out, exist_ok=True)
     attn_paths = export_attention_record(extras["attention"], args.out)
 

@@ -83,7 +83,7 @@ class Encoder:
             fan_in, fan_out = c_in * k * k, c_out * k * k
             w = ad.xavier_uniform(rng, (c_out, c_in, k, k), fan_in, fan_out)
             self.weights.append(ad.parameter(w))
-            self.biases.append(ad.parameter(np.zeros(c_out, dtype=ad.default_dtype())))
+            self.biases.append(ad.parameter(np.zeros(c_out)))
             c_in = c_out
 
     def parameters(self):
@@ -92,7 +92,8 @@ class Encoder:
             yield f"enc.stage{i}.b", b
 
     def __call__(self, x: Tensor) -> Tensor:
-        """(n,3,S,S) -> (n,h,w,d_e) channels-last, C-contiguous.
+        """(n,3,S,S) images in [0,1] -> (n,h,w,d_e) channels-last,
+        C-contiguous, in the parameters' dtype.
 
         `conv2d` hands out its output as an NCHW view of channels-last
         memory; the bias add and relu keep that layout, so the final
@@ -100,9 +101,10 @@ class Encoder:
         s = self.cfg.input_size
         if x.ndim != 4 or x.shape[1:] != (3, s, s):
             raise ShapeError(f"encoder expects (n,3,{s},{s}) input, got {x.shape}")
-        # center the [0,1] inputs; an all-positive input makes every
-        # first-layer gradient row point the same way and stalls early SGD
-        h = ad.add(x, Tensor(np.asarray(-0.5, dtype=ad.default_dtype())))
+        # center the inputs in the parameters' dtype, casting in the same
+        # pass; an all-positive input makes every first-layer gradient row
+        # point the same way and stalls early SGD
+        h = Tensor(np.subtract(x.data, 0.5, dtype=self.weights[0].dtype))
         for w, b, st, pad in zip(self.weights, self.biases,
                                  self.cfg.stride, self.cfg.pads):
             h = ad.conv2d(h, w, stride=st, pad=pad)

@@ -45,6 +45,7 @@ __all__ = [
     "write_ppm", "read_ppm", "grade_histogram",
 ]
 
+NUM_GRADES = 5           # `grade_rule` grades 0-4
 APERTURE = 0.48          # fundus circle radius as a fraction of the field side
 _EDGE_PAD = 1.5          # px of clearance when deciding in/out of a field
 _DISC_DIST = 0.37        # canonical optic-disc-to-macula distance (fraction of S)
@@ -84,7 +85,6 @@ class GenConfig:
     seeds 0-59 at both settings.
     """
     size: int = 64
-    num_classes: int = 5
     split_rate: float = 0.3
     artifact_rate: float = 0.25
 
@@ -360,8 +360,8 @@ def _make_artifact(rng, scene: RetinaScene, cfg: GenConfig):
 
 def generate_scene(rng: np.random.Generator, target_grade: int,
                    cfg: GenConfig = GenConfig()) -> RetinaScene:
-    if not (0 <= target_grade < cfg.num_classes):
-        raise DataError(f"target grade {target_grade} outside [0,{cfg.num_classes})")
+    if not (0 <= target_grade < NUM_GRADES):
+        raise DataError(f"target grade {target_grade} outside [0,{NUM_GRADES})")
     s = cfg.size
     laterality = "OD" if rng.uniform() < 0.5 else "OS"
     sign = 1.0 if laterality == "OD" else -1.0
@@ -559,7 +559,7 @@ def _quantize(img: np.ndarray) -> np.ndarray:
 
 def generate_eye(seed: int, eye_id: int, cfg: GenConfig = GenConfig()) -> TwoFieldSample:
     rng = _eye_rng(seed, eye_id)
-    target = int(rng.integers(0, cfg.num_classes))
+    target = int(rng.integers(0, NUM_GRADES))
     scene = generate_scene(rng, target, cfg)
     img1, od1 = render_field(scene, "macula")
     img2, od2 = render_field(scene, "optic_disc")
@@ -573,8 +573,8 @@ def generate_dataset(seed: int, n: int, cfg: GenConfig = GenConfig()) -> list[Tw
     return [generate_eye(seed, eye_id, cfg) for eye_id in range(n)]
 
 
-def grade_histogram(samples, num_classes: int = 5) -> dict:
-    counts = [0] * num_classes
+def grade_histogram(samples) -> dict:
+    counts = [0] * NUM_GRADES
     split = 0
     for s in samples:
         counts[s.grade] += 1
@@ -685,7 +685,7 @@ _MANIFEST_KEYS = ("eye_id", "field1_path", "field2_path", "od1_x", "od1_y",
                   "od2_x", "od2_y", "grade", "split_evidence")
 
 
-def load_dataset(data_dir: str, num_classes: int = 5) -> ArrayDataset:
+def load_dataset(data_dir: str, num_classes: int = NUM_GRADES) -> ArrayDataset:
     """The dataset at `data_dir`, every manifest record and PPM checked. Each
     field's pixels are held as 8-bit until one float32 array takes them all."""
     manifest = os.path.join(data_dir, "manifest.jsonl")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import warnings
 from collections import OrderedDict
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -219,6 +218,8 @@ def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
 
 def metrics_from_predictions(labels: np.ndarray, grades: np.ndarray,
                              probs: np.ndarray, num_classes: int) -> MetricsReport:
+    """A class absent from `labels`, or the only one in it, has no AUC: its
+    `per_class_auc` entry is None, and the macro mean leaves it out."""
     labels = np.asarray(labels, dtype=np.int64)
     grades = np.asarray(grades, dtype=np.int64)
     if labels.shape != grades.shape:
@@ -233,13 +234,7 @@ def metrics_from_predictions(labels: np.ndarray, grades: np.ndarray,
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, grades), 1)
     accuracy = float(np.trace(confusion)) / n
-    per_class = []
-    for c in range(num_classes):
-        auc = roc_auc_ovr(probs[:, c], labels == c)
-        if auc is None:
-            warnings.warn(f"class {c} absent or universal in eval split; "
-                          f"its AUC is undefined and excluded from the macro mean")
-        per_class.append(auc)
+    per_class = [roc_auc_ovr(probs[:, c], labels == c) for c in range(num_classes)]
     defined = [a for a in per_class if a is not None]
     macro = float(np.mean(defined)) if defined else None
     return MetricsReport(quadratic_weighted_kappa(confusion), accuracy,

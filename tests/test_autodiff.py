@@ -16,7 +16,7 @@ import crossfit.autodiff as ad
 from crossfit.attention import CfaConfig
 from crossfit.autodiff import (
     ContractError, DegenerateRowError, LabelError, ShapeError, Tensor,
-    backward, gradcheck, make_rng, no_grad, parameter, tensor,
+    backward, gradcheck, make_rng, no_grad, parameter,
 )
 from crossfit.encoder import EncoderConfig
 from crossfit.model import CrossFiTConfig, CrossFiTModel
@@ -27,18 +27,18 @@ from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 def test_matmul_oracle():
-    out = ad.matmul(tensor([[1.0, 2.0]]), tensor([[3.0], [4.0]]))
+    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert out.data.shape == (1, 1)
     assert out.data[0, 0] == 11.0
 
 
 def test_matmul_shape_contract():
     with pytest.raises(ShapeError):
-        ad.matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_softmax_oracle():
-    out = ad.softmax_lastdim(tensor([1.0, 2.0, 3.0]))
+    out = ad.softmax_lastdim(Tensor([1.0, 2.0, 3.0]))
     expected = np.array([0.09003057, 0.24472847, 0.66524096])
     np.testing.assert_allclose(out.data, expected, atol=5e-7)
     assert abs(out.data.sum() - 1.0) <= 1e-12
@@ -46,14 +46,14 @@ def test_softmax_oracle():
 
 def test_softmax_neg_inf_columns_exact_zero():
     row = np.array([1.0, -np.inf, 3.0, -np.inf])
-    out = ad.softmax_lastdim(tensor(row))
+    out = ad.softmax_lastdim(Tensor(row))
     assert out.data[1] == 0.0 and out.data[3] == 0.0
     assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
 def test_softmax_degenerate_row_raises():
     with pytest.raises(DegenerateRowError):
-        ad.softmax_lastdim(tensor([-np.inf, -np.inf]))
+        ad.softmax_lastdim(Tensor([-np.inf, -np.inf]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -70,25 +70,25 @@ def test_softmax_row_max_equals_np_max(dtype, shape):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     e = np.exp(x - want)
-    assert ad.softmax_lastdim(tensor(x, dtype=dtype)).data.tobytes() == (
+    assert ad.softmax_lastdim(Tensor(x)).data.tobytes() == (
         e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 def test_layer_norm_oracle():
-    x = tensor([[1.0, 3.0]])
-    g = tensor(np.ones(2))
-    b = tensor(np.zeros(2))
+    x = Tensor([[1.0, 3.0]])
+    g = Tensor(np.ones(2))
+    b = Tensor(np.zeros(2))
     out = ad.layer_norm(x, g, b)
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
 
 
 def test_layer_norm_affine_shape_contract():
     with pytest.raises(ShapeError):
-        ad.layer_norm(tensor(np.ones((2, 3))), tensor(np.ones(4)), tensor(np.zeros(4)))
+        ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 def test_gelu_oracle():
-    out = ad.gelu(tensor([1.0]))
+    out = ad.gelu(Tensor([1.0]))
     assert abs(out.data[0] - 0.8413447460685429) <= 1e-10
     # exact CDF form, not the tanh surrogate
     assert abs(out.data[0] - 0.84134) <= 5e-6
@@ -97,7 +97,7 @@ def test_gelu_oracle():
 def test_gelu_is_exact_not_tanh():
     x = 3.0
     tanh_form = 0.5 * x * (1 + math.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3)))
-    out = ad.gelu(tensor([x])).data[0]
+    out = ad.gelu(Tensor([x])).data[0]
     exact = x * 0.5 * (1 + math.erf(x / math.sqrt(2)))
     assert abs(out - exact) <= 1e-12
     assert abs(out - tanh_form) > 1e-6
@@ -150,8 +150,8 @@ def test_gelu_float32_tracks_float64():
     """
     x32 = ERF_GRID.astype(np.float32)
     with np.errstate(all="raise"):
-        got = ad.gelu(Tensor(x32, dtype=np.float32)).data
-        ref = ad.gelu(Tensor(x32, dtype=np.float64)).data
+        got = ad.gelu(Tensor(x32)).data
+        ref = ad.gelu(Tensor(x32.astype(np.float64))).data
     assert got.dtype == np.float32
     err = np.abs(got.astype(np.float64) - ref)
     pos = x32 >= 0
@@ -160,7 +160,7 @@ def test_gelu_float32_tracks_float64():
 
 
 def test_cross_entropy_uniform_oracle():
-    logits = tensor(np.zeros((1, 5)))
+    logits = Tensor(np.zeros((1, 5)))
     loss = ad.cross_entropy_logits(logits, [2])
     assert abs(loss.item() - math.log(5.0)) <= 1e-12
 
@@ -180,14 +180,14 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 def test_cross_entropy_label_range():
     with pytest.raises(LabelError):
-        ad.cross_entropy_logits(tensor(np.zeros((2, 3))), [0, 3])
+        ad.cross_entropy_logits(Tensor(np.zeros((2, 3))), [0, 3])
     with pytest.raises(LabelError):
-        ad.cross_entropy_logits(tensor(np.zeros((2, 3))), [-1, 0])
+        ad.cross_entropy_logits(Tensor(np.zeros((2, 3))), [-1, 0])
 
 
 def test_conv2d_ones_oracle():
-    x = tensor(np.ones((1, 1, 5, 5)))
-    w = tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 5, 5)))
+    w = Tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w, stride=1, pad=1)
     assert out.shape == (1, 1, 5, 5)
     assert out.data[0, 0, 2, 2] == 9.0
@@ -196,16 +196,16 @@ def test_conv2d_ones_oracle():
 
 
 def test_conv2d_stride_two_extent():
-    x = tensor(np.ones((1, 3, 9, 9)))
-    w = tensor(np.ones((4, 3, 3, 3)))
+    x = Tensor(np.ones((1, 3, 9, 9)))
+    w = Tensor(np.ones((4, 3, 3, 3)))
     out = ad.conv2d(x, w, stride=2, pad=1)
     assert out.shape == (1, 4, 5, 5)
 
 
 def test_conv2d_matches_direct_loops():
     rng = make_rng(11)
-    x = tensor(rng.normal(size=(1, 2, 7, 6)))
-    w = tensor(rng.normal(size=(3, 2, 3, 3)))
+    x = Tensor(rng.normal(size=(1, 2, 7, 6)))
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)))
     out = ad.conv2d(x, w, stride=2, pad=1).data[0]
     xp = np.pad(x.data[0], ((0, 0), (1, 1), (1, 1)))
     ho, wo = out.shape[1:]
@@ -221,22 +221,22 @@ def test_conv2d_matches_direct_loops():
 def test_conv2d_batched_agrees_with_per_image():
     rng = make_rng(13)
     xb = rng.normal(size=(4, 2, 8, 8))
-    w = tensor(rng.normal(size=(3, 2, 3, 3)))
-    batched = ad.conv2d(tensor(xb), w, stride=2, pad=1).data
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+    batched = ad.conv2d(Tensor(xb), w, stride=2, pad=1).data
     for n in range(4):
-        single = ad.conv2d(tensor(xb[n:n + 1]), w, stride=2, pad=1).data
+        single = ad.conv2d(Tensor(xb[n:n + 1]), w, stride=2, pad=1).data
         np.testing.assert_array_equal(batched[n], single[0])
 
 
 def test_conv2d_contracts():
     with pytest.raises(ShapeError):
-        ad.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((1, 3, 3, 3))))
+        ad.conv2d(Tensor(np.ones((1, 2, 5, 5))), Tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ContractError):
-        ad.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))))
+        ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))))
     with pytest.raises(ShapeError):
-        ad.conv2d(tensor(np.ones((1, 1, 2, 2))), tensor(np.ones((1, 1, 5, 5))))
+        ad.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
     with pytest.raises(ShapeError):          # one image must carry its batch axis
-        ad.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((1, 1, 3, 3))))
+        ad.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))))
 
 
 def test_maximum_tie_routes_to_first():
@@ -250,7 +250,7 @@ def test_maximum_tie_routes_to_first():
 
 def test_reshape_round_trip_row_major():
     x = np.arange(24.0).reshape(2, 3, 4)
-    t = tensor(x)
+    t = Tensor(x)
     back = ad.reshape(ad.reshape(t, (6, 4)), (2, 3, 4))
     np.testing.assert_array_equal(back.data, x)
     flat = ad.reshape(t, (-1,))
@@ -280,33 +280,33 @@ def _ownership_cases():
 
     def add_self():
         x = parameter(a)
-        return ad.sum_(ad.mul(ad.add(x, x), tensor(c))), {x: 2.0 * c}
+        return ad.sum_(ad.mul(ad.add(x, x), Tensor(c))), {x: 2.0 * c}
 
     def add_equal_shapes():
         x, y = parameter(a), parameter(b)
-        return ad.sum_(ad.mul(ad.add(x, y), tensor(c))), {x: c, y: c}
+        return ad.sum_(ad.mul(ad.add(x, y), Tensor(c))), {x: c, y: c}
 
     def reshape():
         x, y = parameter(a), parameter(b)
         s = ad.add(ad.reshape(x, (3, 2)), ad.reshape(y, (3, 2)))
-        return ad.sum_(ad.mul(s, tensor(c.reshape(3, 2)))), {x: c, y: c}
+        return ad.sum_(ad.mul(s, Tensor(c.reshape(3, 2)))), {x: c, y: c}
 
     def transpose():
         x, y = parameter(a), parameter(b)
         s = ad.add(ad.transpose(x, (1, 0)), ad.transpose(y, (1, 0)))
-        return ad.sum_(ad.mul(s, tensor(c.T))), {x: c, y: c}
+        return ad.sum_(ad.mul(s, Tensor(c.T))), {x: c, y: c}
 
     def concat():
         x, y = parameter(a), parameter(b)
         cd = np.concatenate([c, d], axis=1)
-        return ad.sum_(ad.mul(ad.concat([x, y], axis=1), tensor(cd))), {x: c, y: d}
+        return ad.sum_(ad.mul(ad.concat([x, y], axis=1), Tensor(cd))), {x: c, y: d}
 
     def leaf_in_two_ops():
         # x's second use comes earlier on the tape, so backward first hands
         # x and y the same g, then accumulates into x
         x, y = parameter(a), parameter(b)
-        first = ad.sum_(ad.mul(x, tensor(d)))
-        second = ad.sum_(ad.mul(ad.add(x, y), tensor(c)))
+        first = ad.sum_(ad.mul(x, Tensor(d)))
+        second = ad.sum_(ad.mul(ad.add(x, y), Tensor(c)))
         return ad.add(first, second), {x: c + d, y: c}
 
     return {f.__name__: f for f in (add_self, add_equal_shapes, reshape, transpose,
@@ -406,7 +406,7 @@ def test_no_grad_suppresses_recording():
 
 
 def test_constant_inputs_not_recorded():
-    y = ad.mul(tensor([2.0]), tensor([3.0]))
+    y = ad.mul(Tensor([2.0]), Tensor([3.0]))
     assert not y.requires_grad
     assert len(ad.active_tape()) == 0
 
@@ -429,7 +429,7 @@ def _affine_relu_step(keep: bool):
     alive just before backward, and the leaves' gradients."""
     rng = make_rng(11)
     x, w, b = (parameter(rng.normal(size=s)) for s in ((4, 3), (3, 5), (5,)))
-    c = tensor(rng.normal(size=(4, 5)))
+    c = Tensor(rng.normal(size=(4, 5)))
     held = []
     h = ad.matmul(x, w)
     refs = [weakref.ref(_owner(h.data))]
@@ -481,7 +481,7 @@ def test_conv2d_matches_nchw_reference_bitwise(geometry, channels_last):
     x = rng.normal(size=(n, side, side, c_in))
     x = np.moveaxis(x, 3, 1) if channels_last else np.ascontiguousarray(np.moveaxis(x, 3, 1))
     w = rng.normal(size=(c_out, c_in, k, k))
-    out = ad.conv2d(tensor(x), tensor(w), stride=stride, pad=pad).data
+    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
     assert out.tobytes() == _conv2d_nchw_reference(x, w, stride, pad).tobytes()
     assert out.transpose(0, 2, 3, 1).flags.c_contiguous and not out.flags.owndata
 
@@ -496,7 +496,7 @@ def test_conv2d_input_gradient_same_across_input_layouts():
     grads = []
     for xd in (np.moveaxis(x_last, 3, 1), np.ascontiguousarray(np.moveaxis(x_last, 3, 1))):
         x = parameter(xd)
-        backward(ad.sum_(ad.mul(ad.conv2d(x, parameter(w_init), stride=2, pad=1), tensor(c))))
+        backward(ad.sum_(ad.mul(ad.conv2d(x, parameter(w_init), stride=2, pad=1), Tensor(c))))
         grads.append(x.grad)
     np.testing.assert_array_equal(grads[0], grads[1])
 
@@ -508,7 +508,7 @@ def test_conv2d_frees_its_padded_input():
     rng = make_rng(13)
     xd = rng.normal(size=(2, 3, 6, 6))
     w_init = rng.normal(size=(4, 3, 3, 3))
-    c = tensor(rng.normal(size=(2, 4, 3, 3)))
+    c = Tensor(rng.normal(size=(2, 4, 3, 3)))
     xp_ref = parameter(np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1))))
     w_ref = parameter(w_init)
     backward(ad.sum_(ad.mul(ad.conv2d(xp_ref, w_ref, stride=2), c)))
@@ -597,17 +597,35 @@ def test_make_rng_deterministic():
 
 
 def test_default_dtype_switch():
+    """The scope sets the dtype of the parameters created inside it, and only
+    theirs; it restores the prior default however the block ends."""
     with ad.default_dtype_scope(np.float32):
-        assert tensor([1.0]).dtype == np.float32
-    assert tensor([1.0]).dtype == np.float64
+        assert parameter([1.0]).dtype == np.float32
+        assert Tensor([1.0]).dtype == np.float64
+    assert parameter([1.0]).dtype == np.float64
     with pytest.raises(RuntimeError, match="inside"):
         with ad.default_dtype_scope(np.float32):
             raise RuntimeError("inside")
-    assert tensor([1.0]).dtype == np.float64
+    assert parameter([1.0]).dtype == np.float64
     with pytest.raises(ContractError, match="unsupported dtype int32"):
         with ad.default_dtype_scope(np.int32):
             raise AssertionError("a refused dtype entered the block")
-    assert ad.default_dtype() is np.float64
+    assert parameter([1.0]).dtype == np.float64
+
+
+def test_ops_follow_their_operands_dtype():
+    """A tensor keeps its data's float dtype, and other data becomes float64.
+    Ops compute in their operands' dtypes, whatever the default is."""
+    assert Tensor(np.ones(2, np.float32)).dtype == np.float32
+    assert Tensor(np.ones(2, np.int64)).dtype == np.float64
+    assert Tensor([True]).dtype == np.float64
+    x = Tensor(np.array([[1.0, -2.0]], np.float32))
+    w = Tensor(np.array([[0.5], [0.25]], np.float32))
+    for scope in (np.float64, np.float32):
+        with ad.default_dtype_scope(scope):
+            out = ad.relu(ad.add(ad.matmul(x, w), Tensor(np.float32(1.0))))
+            assert out.dtype == np.float32
+            assert ad.mul(x, Tensor([2.0])).dtype == np.float64  # numpy's promotion
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +636,7 @@ def test_default_dtype_switch():
 @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
 def test_softmax_rows_sum_to_one(rows, cols, seed):
     x = make_rng(seed).normal(scale=4.0, size=(rows, cols))
-    out = ad.softmax_lastdim(tensor(x)).data
+    out = ad.softmax_lastdim(Tensor(x)).data
     np.testing.assert_allclose(out.sum(axis=-1), np.ones(rows), atol=1e-12)
     assert (out >= 0.0).all()
 
@@ -643,7 +661,7 @@ def test_broadcast_mul_gradient_sums_out(shapes, seed):
 @given(st.integers(1, 4), st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
 def test_layer_norm_output_standardized(rows, dim, seed):
     x = make_rng(seed).normal(scale=3.0, size=(rows, dim))
-    out = ad.layer_norm(tensor(x), tensor(np.ones(dim)), tensor(np.zeros(dim))).data
+    out = ad.layer_norm(Tensor(x), Tensor(np.ones(dim)), Tensor(np.zeros(dim))).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     if dim > 1:
         assert (out.var(axis=-1) <= 1.0 + 1e-8).all()
@@ -669,7 +687,7 @@ def test_gradcheck_matmul():
 def test_gradcheck_softmax():
     rng = make_rng(2)
     x = parameter(rng.normal(size=(3, 5)))
-    c = tensor(rng.normal(size=(3, 5)))
+    c = Tensor(rng.normal(size=(3, 5)))
     _check(lambda: ad.sum_(ad.mul(ad.softmax_lastdim(x), c)), [x])
 
 
@@ -678,10 +696,10 @@ def test_gradcheck_softmax_with_masked_columns():
     x = parameter(rng.normal(size=(2, 6)))
     bias = np.zeros((2, 6))
     bias[:, [1, 4]] = -np.inf
-    c = tensor(rng.normal(size=(2, 6)))
+    c = Tensor(rng.normal(size=(2, 6)))
 
     def fn():
-        return ad.sum_(ad.mul(ad.softmax_lastdim(ad.add(x, tensor(bias))), c))
+        return ad.sum_(ad.mul(ad.softmax_lastdim(ad.add(x, Tensor(bias))), c))
 
     _check(fn, [x])
 
@@ -691,14 +709,14 @@ def test_gradcheck_layer_norm():
     x = parameter(rng.normal(size=(4, 6)))
     g = parameter(rng.normal(size=6))
     b = parameter(rng.normal(size=6))
-    c = tensor(rng.normal(size=(4, 6)))
+    c = Tensor(rng.normal(size=(4, 6)))
     _check(lambda: ad.sum_(ad.mul(ad.layer_norm(x, g, b), c)), [x, g, b])
 
 
 def test_gradcheck_gelu_relu():
     rng = make_rng(5)
     x = parameter(rng.normal(size=(3, 4)) + 0.3)  # keep clear of relu kink
-    c = tensor(rng.normal(size=(3, 4)))
+    c = Tensor(rng.normal(size=(3, 4)))
     _check(lambda: ad.sum_(ad.mul(ad.gelu(x), c)), [x])
     _check(lambda: ad.sum_(ad.mul(ad.relu(x), c)), [x])
 
@@ -707,7 +725,7 @@ def test_gradcheck_conv2d():
     rng = make_rng(6)
     x = parameter(rng.normal(size=(1, 2, 6, 5)))
     w = parameter(rng.normal(size=(3, 2, 3, 3)))
-    c = tensor(rng.normal(size=(1, 3, 3, 3)))
+    c = Tensor(rng.normal(size=(1, 3, 3, 3)))
     _check(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, stride=2, pad=1), c)), [x, w])
 
 
@@ -720,7 +738,7 @@ def test_gradcheck_conv2d_batched(x_shape, c_out, k, stride, pad):
     x = parameter(rng.normal(size=x_shape))
     w = parameter(rng.normal(size=(c_out, x_shape[1], k, k)))
     with no_grad():
-        c = tensor(rng.normal(size=ad.conv2d(x, w, stride, pad).shape))
+        c = Tensor(rng.normal(size=ad.conv2d(x, w, stride, pad).shape))
     _check(lambda: ad.sum_(ad.mul(ad.conv2d(x, w, stride, pad), c)), [x, w])
 
 
@@ -730,7 +748,7 @@ def test_conv2d_image_batch_gets_no_gradient():
     w = parameter(rng.normal(size=(2, 3, 3, 3)))
     grads = {}
     for needs_grad in (False, True):
-        out = ad.conv2d(tensor(xd, requires_grad=needs_grad), w, stride=2, pad=1)
+        out = ad.conv2d(Tensor(xd, requires_grad=needs_grad), w, stride=2, pad=1)
         node = ad.active_tape()._nodes[-1]
         grads[needs_grad] = node.backward_fn(np.ones(out.shape))
         ad.active_tape().clear()
@@ -749,7 +767,7 @@ def test_matmul_folds_leading_axes_of_a():
     assert out.shape == (3, 4, 2)
     for i in range(3):
         np.testing.assert_allclose(out[i], a.data[i] @ b.data, rtol=1e-12, atol=0)
-    c = tensor(rng.normal(size=(3, 4, 2)))
+    c = Tensor(rng.normal(size=(3, 4, 2)))
     _check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), c)), [a, b])
 
 
@@ -764,7 +782,7 @@ def test_gradcheck_concat_slice_transpose():
     rng = make_rng(9)
     a = parameter(rng.normal(size=(2, 3)))
     b = parameter(rng.normal(size=(2, 2)))
-    c = tensor(rng.normal(size=(5, 2)))
+    c = Tensor(rng.normal(size=(5, 2)))
 
     def fn():
         cat = ad.concat([a, b], axis=1)
@@ -773,14 +791,14 @@ def test_gradcheck_concat_slice_transpose():
 
     _check(fn, [a, b])
     d = parameter(rng.normal(size=(4, 4)))
-    _check(lambda: ad.sum_(ad.mul(d[1:3, :2], tensor([[1.0, 2.0], [3.0, 4.0]]))), [d])
+    _check(lambda: ad.sum_(ad.mul(d[1:3, :2], Tensor([[1.0, 2.0], [3.0, 4.0]]))), [d])
 
 
 def test_gradcheck_maximum_and_means():
     rng = make_rng(10)
     a = parameter(rng.normal(size=(3, 4)))
     b = parameter(rng.normal(size=(3, 4)))
-    c = tensor(rng.normal(size=(3, 4)))
+    c = Tensor(rng.normal(size=(3, 4)))
     _check(lambda: ad.sum_(ad.mul(ad.maximum(a, b), c)), [a, b])
     _check(lambda: ad.mean_(ad.mul(a, a), axes=(0, 1)), [a])
 
@@ -789,8 +807,8 @@ def test_gradcheck_linear_layers():
     rng = make_rng(12)
     lin = ad.Linear(rng, 5, 3)
     ln = ad.LayerNorm(5)
-    x = tensor(rng.normal(size=(4, 5)))
-    c = tensor(rng.normal(size=(4, 3)))
+    x = Tensor(rng.normal(size=(4, 5)))
+    c = Tensor(rng.normal(size=(4, 3)))
     params = [lin.w, lin.b, ln.gamma, ln.beta]
     _check(lambda: ad.sum_(ad.mul(lin(ln(x)), c)), params)
 

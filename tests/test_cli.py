@@ -922,8 +922,9 @@ class TestInspect:
 
 
 class TestDtypeScope:
-    """Commands train and evaluate in float32 but must not leak it: later
-    float64 code (gradchecks, exact oracles) reads the same process default."""
+    """Commands build float32 models but must not leak the default: later
+    float64 parameters (gradchecks, exact oracles) read the same process
+    default."""
 
     def test_success_restores_float64(self, trained_ckpt, data_dir, tiny_config, tmp_path):
         runs = [
@@ -939,7 +940,7 @@ class TestDtypeScope:
         ]
         for argv in runs:
             assert run_cli(*argv) == 0, argv[0]
-            assert ad.default_dtype() is np.float64, argv[0]
+            assert ad.parameter(0.0).dtype == np.float64, argv[0]
 
     def test_failure_after_switch_restores_float64(self, trained_ckpt, data_dir, tmp_path):
         not_a_dataset = tmp_path / "empty"
@@ -952,7 +953,7 @@ class TestDtypeScope:
         ]
         for argv in runs:
             assert run_cli(*argv) == 2, argv[0]
-            assert ad.default_dtype() is np.float64, argv[0]
+            assert ad.parameter(0.0).dtype == np.float64, argv[0]
 
 
 class TestRefusedPaths:

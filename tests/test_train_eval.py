@@ -249,12 +249,14 @@ def test_metrics_constant_predictor():
     assert rep.kappa <= 0.0
 
 
-def test_metrics_missing_class_warns_and_excludes():
+def test_metrics_missing_class_is_none_without_warning(recwarn):
+    """An undefined class AUC is recorded once, as its None entry; no
+    process-wide warning is raised."""
     labels = np.array([0, 0, 1, 1])
     grades = np.array([0, 1, 1, 1])
     probs = np.tile([0.5, 0.3, 0.2], (4, 1))
-    with pytest.warns(UserWarning, match="class 2"):
-        rep = metrics_from_predictions(labels, grades, probs, 3)
+    rep = metrics_from_predictions(labels, grades, probs, 3)
+    assert len(recwarn) == 0
     assert rep.per_class_auc[2] is None
     defined = [a for a in rep.per_class_auc if a is not None]
     assert abs(rep.macro_auc - np.mean(defined)) <= 1e-15
@@ -381,6 +383,49 @@ def test_predict_dataset_types_degenerate_attention():
     with pytest.raises(NonFiniteOutputError, match="overflowed to -inf") as info:
         predict_dataset(model, tiny_dataset(13), batch_size=4)
     assert isinstance(info.value.__cause__, DegenerateRowError)
+
+
+def _pixels32(seed):
+    """A tiny dataset whose images are float32, as `load_dataset` gives them."""
+    data = tiny_dataset(seed)
+    data.images1 = data.images1.astype(np.float32)
+    data.images2 = data.images2.astype(np.float32)
+    return data
+
+
+def _logits(model, data):
+    with ad.no_grad():
+        out, _ = model.forward_batch(data.images1, data.images2, data.od1, data.od2)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _same_predictions(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("strategy", ["crossfit", "feat_max", "pred_avg"])
+def test_float32_model_scores_alike_outside_the_scope(strategy):
+    """The dtype belongs to the model: a float32 model built in the scope
+    computes in float32 when scored outside any scope, bit for bit as inside."""
+    data = _pixels32(22)
+    with ad.default_dtype_scope(np.float32):
+        model = micro_model(21, strategy=strategy)
+        inside = predict_dataset(model, data)
+    for images in (data, tiny_dataset(22)):   # float32 and float64 pixels
+        assert all(l.dtype == np.float32 for l in _logits(model, images))
+    assert _same_predictions(predict_dataset(model, data), inside)
+
+
+@pytest.mark.parametrize("strategy", ["crossfit", "feat_max", "pred_avg"])
+def test_float64_model_scores_alike_inside_a_float32_scope(strategy):
+    """A float64 model stays float64 inside a float32 scope: its images are
+    not rounded to float32, and it scores as it does outside."""
+    data = tiny_dataset(24)
+    model = micro_model(23, strategy=strategy)
+    outside = predict_dataset(model, data)
+    with ad.default_dtype_scope(np.float32):
+        assert all(l.dtype == np.float64 for l in _logits(model, data))
+        assert _same_predictions(predict_dataset(model, data), outside)
 
 
 # ---------------------------------------------------------------------------
