@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import itertools
 import json
 import multiprocessing
@@ -221,9 +222,11 @@ def _read_model(path: str):
         return ckpt, build_model_from_checkpoint(ckpt)
 
 
+@functools.lru_cache(maxsize=None)
 def _openblas(name: str):
     """`name` ("get_num_threads" or "set_num_threads") of the OpenBLAS numpy
-    loaded, or None; both take and return a C int, ctypes' default."""
+    loaded, or None; both take and return a C int, ctypes' default. Looked
+    up once per process: the libraries a process has loaded stay loaded."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})

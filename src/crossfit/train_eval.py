@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, DegenerateRowError, ShapeError, Tensor
+from .autodiff import ContractError, ShapeError, Tensor
 from .model import CrossFiTConfig, CrossFiTModel
 
 __all__ = [
@@ -176,17 +176,12 @@ def finite_outputs(forward):
     """Run `forward()`, a model pass returning (outputs, extra) where
     `outputs` is an (eyes, classes) array, and return that pair.
 
-    Raises NonFiniteOutputError when an output row holds NaN or inf, or when
-    overflow left an attention row with every logit -inf. That error names
-    the outcome, so numpy's overflow warnings on the way are not printed.
+    Raises NonFiniteOutputError when an output row holds NaN or inf. That
+    error names the outcome, so numpy's overflow warnings on the way are not
+    printed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            outputs, extra = forward()
-        except DegenerateRowError as exc:
-            raise NonFiniteOutputError(
-                "model outputs are non-finite: every attention logit of a "
-                "row overflowed to -inf") from exc
+        outputs, extra = forward()
     bad = int((~np.isfinite(outputs).all(axis=1)).sum())
     if bad:
         raise NonFiniteOutputError(
@@ -292,14 +287,7 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
                 which = rng.uniform(size=len(take)) < 0.5
                 if which.any():
                     _flip_horizontal(i1, i2, o1, o2, which)
-            try:
-                loss = model.loss_batch(i1, i2, o1, o2, labels)
-            except DegenerateRowError as exc:
-                # overflow inside attention (every logit -inf) is the same
-                # blow-up as a non-finite loss, caught one op earlier
-                ad.active_tape().clear()
-                raise TrainingDiverged(
-                    f"forward pass degenerated at epoch {epoch} step {step}") from exc
+            loss = model.loss_batch(i1, i2, o1, o2, labels)
             value = loss.item()
             if not np.isfinite(value):
                 ad.active_tape().clear()

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import crossfit.autodiff as ad
 from crossfit.attention import CfaConfig
 from crossfit.autodiff import (
-    ContractError, DegenerateRowError, LabelError, ShapeError, Tensor,
+    ContractError, LabelError, ShapeError, Tensor,
     backward, gradcheck, make_rng, no_grad, parameter,
 )
 from crossfit.encoder import EncoderConfig
@@ -51,9 +51,14 @@ def test_softmax_neg_inf_columns_exact_zero():
     assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
-def test_softmax_degenerate_row_raises():
-    with pytest.raises(DegenerateRowError):
-        ad.softmax_lastdim(Tensor([-np.inf, -np.inf]))
+def test_softmax_all_neg_inf_row_is_nan():
+    """A row with every entry -inf has no distribution: it comes out NaN, so
+    the non-finite checks downstream see it; the other rows are untouched."""
+    x = np.array([[-np.inf, -np.inf, -np.inf], [1.0, -np.inf, 3.0]])
+    with np.errstate(invalid="ignore"):
+        out = ad.softmax_lastdim(Tensor(x))
+    assert np.isnan(out.data[0]).all()
+    np.testing.assert_array_equal(out.data[1], ad.softmax_lastdim(Tensor(x[1])).data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -501,6 +501,18 @@ class TestEval:
                 and captured.err.count("\n") == 1)
         assert not out.exists()
 
+    @staticmethod
+    def _non_finite_exit_2(command, ckpt, data_dir, tmp_path, capsys) -> None:
+        """`command` on `ckpt` exits 2 with one non-finite-outputs line and
+        writes neither its report nor its probe directory."""
+        out = tmp_path / "out"
+        args = (["eval", "--report", str(out)] if command == "eval"
+                else ["inspect", "--eye", "0", "--out", str(out)])
+        assert run_cli(*args, "--data", data_dir, "--ckpt", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model outputs are non-finite") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_encoder_overflowing_float32_exit_2(self, trained_ckpt, data_dir, tmp_path,
@@ -509,13 +521,18 @@ class TestEval:
         threshold; the non-finite outputs, not the mask, are reported."""
         bad = tmp_path / "huge_encoder.bin"
         self._fill_head(trained_ckpt, 3e38, bad, name="param/enc.stage0.w")
-        out = tmp_path / "out"
-        args = (["eval", "--report", str(out)] if command == "eval"
-                else ["inspect", "--eye", "0", "--out", str(out)])
-        assert run_cli(*args, "--data", data_dir, "--ckpt", str(bad)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: model outputs are non-finite") and err.count("\n") == 1
-        assert not out.exists()
+        self._non_finite_exit_2(command, bad, data_dir, tmp_path, capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_attention_overflowing_float32_exit_2(self, trained_ckpt, data_dir, tmp_path,
+                                                 capsys, command):
+        """q and k biases of ±3e38 make every attention logit of layer 0
+        -inf; the NaN rows reach the outputs' finite check."""
+        bad = tmp_path / "huge_attention.bin"
+        self._fill_head(trained_ckpt, 3e38, bad, name="param/cfa.layer0.mha.q.b")
+        self._fill_head(bad, -3e38, bad, name="param/cfa.layer0.mha.k.b")
+        self._non_finite_exit_2(command, bad, data_dir, tmp_path, capsys)
 
     @staticmethod
     def _eval_with_frac(ckpt, data_dir, tmp_path, subset, edit) -> int:
@@ -1057,6 +1074,19 @@ class TestBlasThreads:
         for code, *argv in runs:
             assert run_cli(*argv, "--data", data_dir) == code, argv[0]
             assert blas_threads() == 2, argv[0]
+
+    def test_blas_is_looked_up_once_per_process(self, monkeypatch):
+        with cli._one_blas_thread():
+            pass
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        with cli._one_blas_thread():
+            pass
+        assert opened == []
 
     def test_cells_run_one_thread_and_leave_the_parent(self, data_dir, tiny_config,
                                                        monkeypatch, blas_threads):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crossfit.autodiff as ad
-from crossfit.autodiff import ContractError, DegenerateRowError, Tensor, make_rng, parameter
+from crossfit.autodiff import ContractError, Tensor, make_rng, parameter
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
@@ -355,6 +355,26 @@ def test_train_encoder_overflow_diverges():
     assert len(ad.active_tape()) == 0
 
 
+def _overflow_attention(model) -> None:
+    """Set layer 0's q and k so that every attention logit is -inf."""
+    mha = model.stack.layers[0].mha
+    for lin, bias in ((mha.wq, 1e300), (mha.wk, -1e300)):   # every q·k is -1e600
+        lin.w.data[...] = 0.0
+        lin.b.data[...] = bias
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_attention_overflow_diverges():
+    """Attention rows with every logit -inf give a non-finite loss: training
+    stops with TrainingDiverged, no warning and an empty tape."""
+    model = micro_model(10)
+    _overflow_attention(model)
+    cfg = TrainConfig(lr=0.01, batch_size=4, epochs=1, seed=3, hflip=False)
+    with pytest.raises(TrainingDiverged, match="non-finite loss nan at epoch 0 step 0"):
+        train(model, tiny_dataset(11), cfg)
+    assert len(ad.active_tape()) == 0
+
+
 def test_evaluate_populates_report():
     model = micro_model(12)
     data = tiny_dataset(13, n=10)
@@ -374,15 +394,15 @@ def test_predict_dataset_rejects_overflowing_outputs():
         predict_dataset(model, tiny_dataset(13, n=6), batch_size=4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_predict_dataset_types_degenerate_attention():
+    """Attention rows with every logit -inf come out NaN, and the outputs'
+    finite check reports them like any other blow-up."""
     model = micro_model(12)
-    mha = model.stack.layers[0].mha
-    for lin, bias in ((mha.wq, 1e300), (mha.wk, -1e300)):   # every q·k is -1e600
-        lin.w.data[...] = 0.0
-        lin.b.data[...] = bias
-    with pytest.raises(NonFiniteOutputError, match="overflowed to -inf") as info:
+    _overflow_attention(model)
+    with pytest.raises(NonFiniteOutputError, match="for 8 of 8 eyes") as info:
         predict_dataset(model, tiny_dataset(13), batch_size=4)
-    assert isinstance(info.value.__cause__, DegenerateRowError)
+    assert info.value.__cause__ is None
 
 
 def _pixels32(seed):
