@@ -32,9 +32,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import functools
 import itertools
 import json
 import multiprocessing
@@ -53,7 +50,7 @@ from .autodiff import ContractError
 from .geometry import field1_grid, regular_coords
 from .model import CrossFiTConfig, CrossFiTModel
 from .train_eval import (CheckpointError, NonFiniteOutputError, TrainConfig,
-                         TrainingDiverged, build_model_from_checkpoint,
+                         TrainingDiverged, _one_blas_thread, build_model_from_checkpoint,
                          config_from_dict, field_defaults, finite_outputs,
                          json_type_error, load_checkpoint, metrics_from_predictions,
                          predict_dataset, save_checkpoint, train)
@@ -220,36 +217,6 @@ def _read_model(path: str):
         raise UsageError(f"checkpoint {path}: {err.strerror}") from None
     with ad.default_dtype_scope(np.float32):
         return ckpt, build_model_from_checkpoint(ckpt)
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas(name: str):
-    """`name` ("get_num_threads" or "set_num_threads") of the OpenBLAS numpy
-    loaded, or None; both take and return a C int, ctypes' default. Looked
-    up once per process: the libraries a process has loaded stay loaded."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            if hasattr(lib, sym):
-                return getattr(lib, sym)
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then give back the
-    count it had; where no OpenBLAS can be asked, leave BLAS alone."""
-    get, put = _openblas("get_num_threads"), _openblas("set_num_threads")
-    with contextlib.ExitStack() as restore:
-        if get and put:
-            restore.callback(put, get())
-            put(1)
-        yield
 
 
 def _fit(model_cfg: CrossFiTConfig, train_cfg: TrainConfig, train_set, on_epoch=None):

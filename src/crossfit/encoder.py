@@ -102,11 +102,15 @@ class Encoder:
         if x.ndim != 4 or x.shape[1:] != (3, s, s):
             raise ShapeError(f"encoder expects (n,3,{s},{s}) input, got {x.shape}")
         # center the inputs in the parameters' dtype, casting in the same
-        # pass; an all-positive input makes every first-layer gradient row
-        # point the same way and stalls early SGD
-        h = Tensor(np.subtract(x.data, 0.5, dtype=self.weights[0].dtype))
+        # pass straight into stage 0's zero-padded C-order buffer, so conv2d
+        # makes no padded copy; an all-positive input makes every
+        # first-layer gradient row point the same way and stalls early SGD
+        pad = self.cfg.pads[0]
+        xp = np.zeros((x.shape[0], 3, s + 2 * pad, s + 2 * pad), self.weights[0].dtype)
+        np.subtract(x.data, 0.5, out=xp[:, :, pad:pad + s, pad:pad + s], dtype=xp.dtype)
+        h = Tensor(xp)
         for w, b, st, pad in zip(self.weights, self.biases,
-                                 self.cfg.stride, self.cfg.pads):
+                                 self.cfg.stride, (0,) + self.cfg.pads[1:]):
             h = ad.conv2d(h, w, stride=st, pad=pad)
             bias = ad.reshape(b, (-1, 1, 1))
             h = ad.relu(ad.add(h, bias))

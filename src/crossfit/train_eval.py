@@ -9,10 +9,21 @@ length; `train_state.step` the SGD steps taken. Loading reads those four.
 `config.train` holds the train config's fields when `train` wrote the file,
 and `config.data.train_frac` the fraction of eyes `crossfit train` trained
 on, which `crossfit eval --subset` splits by; loading reads neither.
+
+`train` runs its steps on one OpenBLAS thread and gives the caller's count
+back before each `on_epoch` call. The count changes BLAS's float summation
+order, so one thread makes a checkpoint the same on any host and under any
+caller; and a second thread spin-waits through the step's non-GEMM work,
+nearly doubling its CPU time for little wall time. Evaluation runs at the
+caller's count: no training state depends on it, and its conv GEMM gains
+from a second core.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import struct
@@ -255,14 +266,52 @@ def _flip_horizontal(imgs1, imgs2, od1, od2, which: np.ndarray) -> None:
     od2[which, 0] = 1.0 - od2[which, 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas(name: str):
+    """`name` ("get_num_threads" or "set_num_threads") of the OpenBLAS numpy
+    loaded, or None. Looked up once per process: the libraries a process
+    has loaded stay loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, sym):
+                fn = getattr(lib, sym)
+                fn.argtypes, fn.restype = (([], ctypes.c_int) if name == "get_num_threads"
+                                           else ([ctypes.c_int], None))
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then give back the
+    count it had, also when the block raises; where no OpenBLAS can be
+    asked, leave BLAS alone."""
+    get, put = _openblas("get_num_threads"), _openblas("set_num_threads")
+    with contextlib.ExitStack() as restore:
+        if get and put:
+            restore.callback(put, get())
+            put(1)
+        yield
+
+
 # a blow-up ends in TrainingDiverged, so numpy's overflow warnings are not printed
 @np.errstate(over="ignore", invalid="ignore")
 def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
     """Epochs of shuffled minibatch SGD; returns (checkpoint, per-epoch losses).
 
     Fully determined by cfg.seed: shuffling and flip augmentation draw from
-    one dedicated stream, and nothing else is stochastic. `on_epoch`, when
-    given, is called as on_epoch(epoch_index, mean_loss) after every epoch.
+    one dedicated stream, and nothing else is stochastic. Each epoch's steps
+    run on one OpenBLAS thread, so the checkpoint does not depend on the
+    host or the caller's thread count, and no second core spins through the
+    non-GEMM work. `on_epoch`, when given, is called as
+    on_epoch(epoch_index, mean_loss) after every epoch, at the caller's
+    count, which is also back when `train` returns or raises.
     Raises TrainingDiverged on a non-finite loss, or when the last step
     leaves a parameter non-finite.
     """
@@ -276,30 +325,31 @@ def train(model: CrossFiTModel, train_set, cfg: TrainConfig, on_epoch=None):
         order = rng.permutation(n)
         epoch_loss = 0.0
         batches = 0
-        for start in range(0, n, cfg.batch_size):
-            take = order[start:start + cfg.batch_size]
-            i1 = train_set.images1[take]
-            i2 = train_set.images2[take]
-            o1 = train_set.od1[take]
-            o2 = train_set.od2[take]
-            labels = train_set.grades[take]
-            if cfg.hflip:
-                which = rng.uniform(size=len(take)) < 0.5
-                if which.any():
-                    _flip_horizontal(i1, i2, o1, o2, which)
-            loss = model.loss_batch(i1, i2, o1, o2, labels)
-            value = loss.item()
-            if not np.isfinite(value):
-                ad.active_tape().clear()
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch} step {step}")
-            ad.backward(loss)
-            sgd_momentum_step(params, velocities, cfg)
-            for p in params.values():
-                p.grad = None
-            epoch_loss += value
-            batches += 1
-            step += 1
+        with _one_blas_thread():
+            for start in range(0, n, cfg.batch_size):
+                take = order[start:start + cfg.batch_size]
+                i1 = train_set.images1[take]
+                i2 = train_set.images2[take]
+                o1 = train_set.od1[take]
+                o2 = train_set.od2[take]
+                labels = train_set.grades[take]
+                if cfg.hflip:
+                    which = rng.uniform(size=len(take)) < 0.5
+                    if which.any():
+                        _flip_horizontal(i1, i2, o1, o2, which)
+                loss = model.loss_batch(i1, i2, o1, o2, labels)
+                value = loss.item()
+                if not np.isfinite(value):
+                    ad.active_tape().clear()
+                    raise TrainingDiverged(
+                        f"non-finite loss {value} at epoch {epoch} step {step}")
+                ad.backward(loss)
+                sgd_momentum_step(params, velocities, cfg)
+                for p in params.values():
+                    p.grad = None
+                epoch_loss += value
+                batches += 1
+                step += 1
         history.append(epoch_loss / max(batches, 1))
         if on_epoch is not None:
             on_epoch(epoch, history[-1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossfit import train_eval as te
 from crossfit.autodiff import ShapeError
 
 
@@ -26,3 +27,16 @@ def _encode_stub(image: np.ndarray, pool_factor: int) -> np.ndarray:
 @pytest.fixture
 def encode_stub():
     return _encode_stub
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS on two threads for the test, so that a scope pinning
+    one shows on any host; the library's get_num_threads."""
+    get, put = te._openblas("get_num_threads"), te._openblas("set_num_threads")
+    if get is None or put is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS this process can ask")
+    before = get()
+    put(2)
+    yield get
+    put(before)

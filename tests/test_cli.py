@@ -22,6 +22,7 @@ from crossfit import autodiff as ad
 from crossfit import synthdata as sd
 from crossfit.attention import export_attention_record
 from crossfit import cli
+from crossfit import train_eval as te
 from crossfit.cli import _DEFAULTS, UsageError, _build_configs, _merged_config, main
 from crossfit.model import CrossFiTConfig, CrossFiTModel
 from crossfit.train_eval import TrainConfig
@@ -1017,19 +1018,6 @@ class TestRefusedPaths:
         assert not (tmp_path / "nodir").exists()
 
 
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS on two threads for the test, so that a scope pinning
-    one shows on any host; the library's get_num_threads."""
-    get, put = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
-    if get is None or put is None:
-        pytest.skip("numpy's BLAS is no OpenBLAS this process can ask")
-    before = get()
-    put(2)
-    yield get
-    put(before)
-
-
 def _note_threads(monkeypatch, names, get) -> list:
     """Wrap each `cli` function in `names` to note the BLAS thread count it
     starts on; the list they append to."""
@@ -1076,15 +1064,15 @@ class TestBlasThreads:
             assert blas_threads() == 2, argv[0]
 
     def test_blas_is_looked_up_once_per_process(self, monkeypatch):
-        with cli._one_blas_thread():
+        with te._one_blas_thread():
             pass
         opened = []
 
         def spy(file, *args, **kwargs):
             opened.append(file)
             return open(file, *args, **kwargs)
-        monkeypatch.setattr(cli, "open", spy, raising=False)
-        with cli._one_blas_thread():
+        monkeypatch.setattr(te, "open", spy, raising=False)
+        with te._one_blas_thread():
             pass
         assert opened == []
 

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crossfit.autodiff as ad
+from crossfit import train_eval as te
 from crossfit.autodiff import ContractError, Tensor, make_rng, parameter
 from crossfit.attention import CfaConfig
 from crossfit.encoder import EncoderConfig
 from crossfit.model import PE_MODES, STRATEGIES, CrossFiTConfig, CrossFiTModel
+from crossfit.synthdata import ArrayDataset, generate_dataset
 from crossfit.train_eval import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
     NonFiniteOutputError, build_model_from_checkpoint, config_from_dict, evaluate,
@@ -373,6 +375,66 @@ def test_train_attention_overflow_diverges():
     with pytest.raises(TrainingDiverged, match="non-finite loss nan at epoch 0 step 0"):
         train(model, tiny_dataset(11), cfg)
     assert len(ad.active_tape()) == 0
+
+
+def test_train_steps_run_one_thread_and_on_epoch_the_callers(blas_threads):
+    """Every step runs on one BLAS thread; `on_epoch` and the caller after
+    the return see the caller's two."""
+    model, steps, epochs = micro_model(3), [], []
+    real = model.loss_batch
+
+    def loss_batch(*args):
+        steps.append(blas_threads())
+        return real(*args)
+    model.loss_batch = loss_batch
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=1)
+    train(model, tiny_dataset(4), cfg, on_epoch=lambda *_: epochs.append(blas_threads()))
+    assert (steps, epochs, blas_threads()) == ([1] * 4, [2, 2], 2)
+
+
+class _Deadline(Exception):
+    """What a caller's `on_epoch` raises to end training early."""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ending", ["loss", "parameters", "on_epoch"])
+def test_train_gives_the_thread_count_back_when_it_raises(blas_threads, ending):
+    """TrainingDiverged from a non-finite loss or from the parameters after
+    the last step, or the exception `on_epoch` raises: the caller's two
+    threads are back each time."""
+    with ad.default_dtype_scope(np.float32 if ending == "parameters" else np.float64):
+        model = micro_model(10)
+    if ending == "loss":
+        _overflow_attention(model)
+    cfg = TrainConfig(lr=1e39 if ending == "parameters" else 0.01, momentum=0.0,
+                      weight_decay=0.0, batch_size=8, epochs=1, seed=3, hflip=False)
+
+    def on_epoch(*_):
+        if ending == "on_epoch":
+            raise _Deadline
+
+    with pytest.raises(_Deadline if ending == "on_epoch" else TrainingDiverged):
+        train(model, tiny_dataset(11), cfg, on_epoch=on_epoch)
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("strategy", ["crossfit", "feat_max"])
+def test_training_in_process_gives_one_checkpoint_at_any_thread_count(blas_threads, strategy):
+    """One epoch (one 16-eye step) of the CLI-default float32 model gives the
+    same checkpoint tensors under a caller on two BLAS threads and on one: a
+    second thread would change the GEMMs' summation order."""
+    put = te._openblas("set_num_threads")
+    data = ArrayDataset.from_samples(generate_dataset(1, 16))
+    cfg = TrainConfig(epochs=1)
+    tensors = []
+    for count in (2, 1):
+        put(count)
+        with ad.default_dtype_scope(np.float32):
+            model = CrossFiTModel(make_rng(cfg.seed), CrossFiTConfig(strategy=strategy))
+        tensors.append(train(model, data, cfg)[0].tensors)
+    two, one = tensors
+    assert two.keys() == one.keys()
+    assert all(np.array_equal(two[name], one[name]) for name in two)
 
 
 def test_evaluate_populates_report():
