@@ -523,26 +523,25 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
-def sum_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axes, keepdims=keepdims)
+def sum_(x: Tensor, axes=None) -> Tensor:
+    out = x.data.sum(axis=axes)
     shape = x.shape
 
     def bw(g):
         if axes is None:
             return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),)
 
     return _record(np.asarray(out), (x,), bw)
 
 
-def mean_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def mean_(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         count = x.size
     else:
         ax = (axes,) if isinstance(axes, int) else tuple(axes)
         count = int(np.prod([x.shape[a] for a in ax]))
-    return scale(sum_(x, axes=axes, keepdims=keepdims), 1.0 / count)
+    return scale(sum_(x, axes=axes), 1.0 / count)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +572,15 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1 (biased, +eps), then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1 (biased, +1e-5), then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     gd = gamma.data
     out = xhat * gd + beta.data
@@ -755,9 +754,10 @@ class LayerNorm:
 
 
 def gradcheck(fn: Callable[[], Tensor], params: Sequence[Tensor],
-              eps: float = 1e-5, max_elems: int | None = None,
+              max_elems: int | None = None,
               rng: np.random.Generator | None = None) -> float:
-    """Central-difference check of d fn / d params; returns max relative error.
+    """Central-difference check of d fn / d params, step 1e-5; returns max
+    relative error.
 
     `fn` must rebuild the forward pass from the current parameter values on
     every call. Analytic gradients come from one tape sweep; numeric probes
@@ -769,6 +769,7 @@ def gradcheck(fn: Callable[[], Tensor], params: Sequence[Tensor],
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
+    eps = 1e-5
     worst = 0.0
     for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)

@@ -480,14 +480,13 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"eye {args.eye} not in manifest at {args.data}")
     i = int(hits[0])
 
-    def forward():
-        with ad.no_grad():  # no backward follows; the attention record is a copy
-            out, extras = model.forward_batch(
-                data.images1[i:i + 1], data.images2[i:i + 1],
-                data.od1[i:i + 1], data.od2[i:i + 1], record=True)
-        return out.data, extras
-
-    logits, extras = finite_outputs(forward)
+    # no backward follows, and the attention record is a copy; an overflow
+    # ends in NonFiniteOutputError, so numpy's warnings are not printed
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        out, extras = model.forward_batch(
+            data.images1[i:i + 1], data.images2[i:i + 1],
+            data.od1[i:i + 1], data.od2[i:i + 1], record=True)
+    finite_outputs(out.data)
     os.makedirs(args.out, exist_ok=True)
     attn_paths = export_attention_record(extras["attention"], args.out)
 
@@ -523,7 +522,7 @@ def cmd_inspect(args) -> int:
     heat_path = os.path.join(args.out, "heatmap_f1_to_f2.ppm")
     sd.write_ppm(heat_path, np.round(rgb * 255.0).astype(np.uint8))
 
-    pred = int(np.argmax(logits[0]))
+    pred = int(np.argmax(out.data[0]))
     _emit({"eye": args.eye, "grade": int(data.grades[i]), "predicted": pred,
            "attention_files": attn_paths, "mask_files": mask_paths,
            "grid_file": grid_path, "heatmap": heat_path})

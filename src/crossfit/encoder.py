@@ -3,7 +3,8 @@
 Both fields go through one shared parameter set (siamese). Each stage is a
 convolution with its own kernel and stride followed by relu, so the final
 activations are nonnegative and the downstream mask normalization lands in
-[0,1] without a special case. Feature maps are channels-last (n, h, w, d_e).
+[0,1] without a special case. Call it with (n, S, S, 3) image arrays, the
+layout the dataset holds; feature maps are channels-last (n, h, w, d_e).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class EncoderConfig:
 
 
 class Encoder:
-    """conv-relu stack; call with (n, 3, S, S) tensors."""
+    """conv-relu stack; call with (n, S, S, 3) image arrays."""
 
     def __init__(self, rng: np.random.Generator, cfg: EncoderConfig):
         self.cfg = cfg
@@ -91,23 +92,24 @@ class Encoder:
             yield f"enc.stage{i}.w", w
             yield f"enc.stage{i}.b", b
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """(n,3,S,S) images in [0,1] -> (n,h,w,d_e) channels-last,
-        C-contiguous, in the parameters' dtype.
+    def __call__(self, imgs: np.ndarray) -> Tensor:
+        """(n,S,S,3) channels-last images in [0,1] -> (n,h,w,d_e)
+        channels-last, C-contiguous, in the parameters' dtype.
 
         `conv2d` hands out its output as an NCHW view of channels-last
         memory; the bias add and relu keep that layout, so the final
         transpose is a view and the tokens flatten without a copy."""
         s = self.cfg.input_size
-        if x.ndim != 4 or x.shape[1:] != (3, s, s):
-            raise ShapeError(f"encoder expects (n,3,{s},{s}) input, got {x.shape}")
-        # center the inputs in the parameters' dtype, casting in the same
-        # pass straight into stage 0's zero-padded C-order buffer, so conv2d
+        if imgs.ndim != 4 or imgs.shape[1:] != (s, s, 3):
+            raise ShapeError(f"encoder expects (n,{s},{s},3) input, got {imgs.shape}")
+        # center the inputs' NCHW view in the parameters' dtype, casting in
+        # the same pass into stage 0's zero-padded C-order buffer, so conv2d
         # makes no padded copy; an all-positive input makes every
         # first-layer gradient row point the same way and stalls early SGD
         pad = self.cfg.pads[0]
-        xp = np.zeros((x.shape[0], 3, s + 2 * pad, s + 2 * pad), self.weights[0].dtype)
-        np.subtract(x.data, 0.5, out=xp[:, :, pad:pad + s, pad:pad + s], dtype=xp.dtype)
+        xp = np.zeros((len(imgs), 3, s + 2 * pad, s + 2 * pad), self.weights[0].dtype)
+        np.subtract(np.moveaxis(imgs, 3, 1), 0.5,
+                    out=xp[:, :, pad:pad + s, pad:pad + s], dtype=xp.dtype)
         h = Tensor(xp)
         for w, b, st, pad in zip(self.weights, self.biases,
                                  self.cfg.stride, (0,) + self.cfg.pads[1:]):

@@ -137,10 +137,10 @@ class CrossFiTModel:
 
     def _encode(self, imgs: np.ndarray):
         """One field's channels-last [0,1] image batch -> (b, l, d_e) tokens
-        and (b, l) mask bits, or None when masking is off."""
-        # an NCHW view of the channels-last batch: the encoder's centering,
-        # which casts to the model's dtype, is the first pass over the pixels
-        x = self.encoder(Tensor(np.moveaxis(imgs, 3, 1)))
+        and (b, l) mask bits, or None when masking is off; the encoder's
+        centering, which casts to the model's dtype, is the first pass over
+        the pixels."""
+        x = self.encoder(imgs)
         m = masks_from_features(x.data, self.cfg.cfa.threshold) if self.cfg.mask_enabled else None
         return self._flatten(x), m
 

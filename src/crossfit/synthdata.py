@@ -169,7 +169,7 @@ def _dist(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _sample_counts(rng, grade: int, split: bool = False) -> list[tuple[str, int]]:
+def _sample_counts(rng, grade: int, split: bool) -> list[tuple[str, int]]:
     """Lesion count menu per grade, kept clear of the rule boundaries.
 
     Split scenes cram every lesion into the crescent of field 2 that field 1
@@ -663,7 +663,7 @@ class ArrayDataset:
                             self.od1[idx], self.od2[idx], self.grades[idx],
                             self.split_evidence[idx], self.eye_ids[idx])
 
-    def train_test_split(self, train_frac: float = 0.8):
+    def train_test_split(self, train_frac: float):
         """The first round(n * train_frac) eyes, then the rest, as views of
         this set's arrays: neither part copies the images."""
         k = int(round(len(self) * train_frac))

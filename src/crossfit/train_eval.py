@@ -183,42 +183,34 @@ class MetricsReport:
         }
 
 
-def finite_outputs(forward):
-    """Run `forward()`, a model pass returning (outputs, extra) where
-    `outputs` is an (eyes, classes) array, and return that pair.
-
-    Raises NonFiniteOutputError when an output row holds NaN or inf. That
-    error names the outcome, so numpy's overflow warnings on the way are not
-    printed.
+def finite_outputs(outputs: np.ndarray) -> None:
+    """Raise NonFiniteOutputError when a row of the (eyes, classes) array
+    `outputs` holds NaN or inf. That error names the outcome, so the pass
+    that made `outputs` can run with numpy's overflow warnings off.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        outputs, extra = forward()
     bad = int((~np.isfinite(outputs).all(axis=1)).sum())
     if bad:
         raise NonFiniteOutputError(
             f"model outputs are non-finite (NaN or inf) for {bad} of "
             f"{len(outputs)} eyes: the forward pass overflowed")
-    return outputs, extra
 
 
+# an overflow ends in NonFiniteOutputError, so numpy's overflow warnings are not printed
+@np.errstate(over="ignore", invalid="ignore")
 def predict_dataset(model: CrossFiTModel, dataset, batch_size: int = 32):
     """Deterministic full pass; returns (predicted grades, probabilities).
 
-    Raises NonFiniteOutputError as `finite_outputs` does.
+    Raises NonFiniteOutputError when an eye's probabilities hold NaN or inf,
+    checked by `finite_outputs` once every batch has run.
     """
     n = len(dataset.grades)
     grades = np.zeros(n, dtype=np.int64)
     probs = np.zeros((n, model.cfg.num_classes))
-
-    def forward():
-        for start in range(0, n, batch_size):
-            sl = slice(start, start + batch_size)
-            grades[sl], probs[sl] = model.predict_batch(
-                dataset.images1[sl], dataset.images2[sl], dataset.od1[sl],
-                dataset.od2[sl])
-        return probs, grades
-
-    probs, grades = finite_outputs(forward)
+    for start in range(0, n, batch_size):
+        sl = slice(start, start + batch_size)
+        grades[sl], probs[sl] = model.predict_batch(
+            dataset.images1[sl], dataset.images2[sl], dataset.od1[sl], dataset.od2[sl])
+    finite_outputs(probs)
     return grades, probs
 
 
@@ -486,18 +478,17 @@ class Checkpoint:
                     f"vs model {p.data.shape}")
             staged.append((p, stored))
         for p, stored in staged:
-            p.data = stored.astype(p.data.dtype).copy()
+            p.data = stored.astype(p.data.dtype)  # a fresh array: SGD updates it in place
 
 
-def build_model_from_checkpoint(ckpt: Checkpoint,
-                                rng: np.random.Generator | None = None) -> CrossFiTModel:
+def build_model_from_checkpoint(ckpt: Checkpoint) -> CrossFiTModel:
     try:
         stored = ckpt.config["model"]
     except (KeyError, TypeError):
         raise CheckpointError("checkpoint holds no model config") from None
     try:
-        model = CrossFiTModel(rng or ad.make_rng(0),
-                              config_from_dict(CrossFiTConfig, stored))
+        # the seed is immaterial: `restore` overwrites every parameter
+        model = CrossFiTModel(ad.make_rng(0), config_from_dict(CrossFiTConfig, stored))
     except ContractError as err:
         raise CheckpointError(f"checkpoint holds no valid model config: {err}") from None
     ckpt.restore(model)

@@ -108,7 +108,7 @@ def test_project_gradcheck():
     def fn():
         return ad.sum_(ad.mul(to_tokens(model, vals), c))
 
-    assert gradcheck(fn, [vals, model.proj.w, model.proj.b], eps=1e-5) < 1e-4
+    assert gradcheck(fn, [vals, model.proj.w, model.proj.b]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def test_masked_mha_gradcheck():
     def fn():
         return ad.sum_(ad.mul(mha(f, mask), c))
 
-    assert gradcheck(fn, params, eps=1e-5) < 1e-4
+    assert gradcheck(fn, params) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_block_gradcheck():
     def fn():
         return ad.sum_(ad.mul(layer(f, mask), c))
 
-    assert gradcheck(fn, params, eps=1e-5) < 1e-4
+    assert gradcheck(fn, params) < 1e-4
 
 
 def test_stack_zero_layers_adds_embeddings():

@@ -678,7 +678,7 @@ def test_layer_norm_output_standardized(rows, dim, seed):
 
 
 def _check(fn, params, tol=1e-4):
-    err = gradcheck(fn, params, eps=1e-5)
+    err = gradcheck(fn, params)
     assert err < tol, f"max relative gradient error {err:.3e}"
 
 

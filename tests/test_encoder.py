@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import crossfit.autodiff as ad
-from crossfit.autodiff import ContractError, ShapeError, Tensor, backward, make_rng
+from crossfit.autodiff import ContractError, ShapeError, backward, make_rng
 from crossfit.encoder import Encoder, EncoderConfig
 from crossfit.model import CrossFiTConfig, CrossFiTModel
 
 
 def encode(enc, images):
     """(n,S,S,3) channels-last images -> the encoder's (n,h,w,d_e) values."""
-    return enc(Tensor(np.ascontiguousarray(np.moveaxis(images, 3, 1)))).data
+    return enc(images).data
 
 
 def test_default_config_feature_shape():
@@ -46,7 +46,14 @@ def test_wrong_input_size_rejected():
     with pytest.raises(ShapeError):
         encode(enc, np.zeros((1, 8, 8, 3)))
     with pytest.raises(ShapeError):          # one image must carry its batch axis
-        enc(Tensor(np.zeros((3, 16, 16))))
+        enc(np.zeros((16, 16, 3)))
+
+
+def test_channels_first_input_rejected():
+    cfg = EncoderConfig(stage_channels=(4,), stride=2, kernel=3, input_size=16)
+    enc = Encoder(make_rng(0), cfg)
+    with pytest.raises(ShapeError, match=r"\(n,16,16,3\)"):
+        enc(np.zeros((2, 3, 16, 16)))
 
 
 def test_config_divisibility_contract():
@@ -73,8 +80,8 @@ def test_batched_matches_single():
 def test_gradients_reach_every_parameter():
     cfg = EncoderConfig(stage_channels=(4, 8), stride=2, kernel=3, input_size=16)
     enc = Encoder(make_rng(7), cfg)
-    imgs = make_rng(8).uniform(size=(2, 3, 16, 16))
-    out = enc(Tensor(imgs))
+    imgs = make_rng(8).uniform(size=(2, 16, 16, 3))
+    out = enc(imgs)
     backward(ad.sum_(ad.mul(out, out)))
     for name, p in enc.parameters():
         assert p.grad is not None and np.any(p.grad != 0.0), f"dead parameter {name}"
@@ -129,7 +136,7 @@ def test_cli_geometry_output_is_channels_last_and_flattens_as_a_view():
     model = CrossFiTModel(make_rng(0), cfg)
     images = make_rng(1).uniform(size=(2, 64, 64, 3))
     with ad.no_grad():
-        x = model.encoder(Tensor(np.moveaxis(images, 3, 1)))
+        x = model.encoder(images)
         tokens = model._flatten(x)
     assert x.shape == (2, 4, 4, 192) and x.data.flags.c_contiguous
     assert tokens.shape == (2, 16, 192) and np.shares_memory(tokens.data, x.data)

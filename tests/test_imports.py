@@ -1,11 +1,12 @@
 """Every name a package module imports is used in that module, every name
-its `__all__` exports exists there, and every private top-level name is read
-somewhere in the package; the CLI's import graph stays lean.
+its `__all__` exports exists there, every private top-level name is read
+somewhere in the package, and every defaulted parameter is set to another
+value by some call; the CLI's import graph stays lean.
 
 No linter ships with the project, so these scans stand in for one: an import
-the module never reads, or a `_helper` nothing calls, is dead code that
-outlives whatever once used it, and an export the module no longer binds
-breaks `from module import *`.
+the module never reads, a `_helper` nothing calls, or a parameter every call
+leaves at its default is dead code that outlives whatever once used it, and
+an export the module no longer binds breaks `from module import *`.
 """
 
 import ast
@@ -19,6 +20,7 @@ import pytest
 import crossfit
 
 MODULES = sorted(Path(crossfit.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -101,6 +103,60 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
             if not any(name in refs for node, refs in statements if node is not definition)]
 
 
+def _defaulted_parameters(body, cls=None):
+    """(called name, parameter, position, default) for each defaulted
+    parameter of each function or method defined in `body`. The called name
+    is the class's for `__init__`; other dunders are left out. The position
+    counts the arguments a call passes, so a method's `self` takes none; a
+    keyword-only parameter has none."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node.body, node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = cls if node.name == "__init__" and cls else node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        bound = int(cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+        first = len(positional) - len(a.defaults)
+        for i, (arg, default) in enumerate(zip(positional[first:], a.defaults), first):
+            yield name, arg.arg, i - bound, default
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, default
+
+
+def _sets(call: ast.Call, param: str, position, default: str) -> bool:
+    """Whether `call` may give `param` a value other than the `default` dump."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return True
+    given = [k.value for k in call.keywords if k.arg == param]
+    if position is not None and position < len(call.args):
+        given.append(call.args[position])
+    return any(ast.dump(v) != default for v in given)
+
+
+def one_value_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.function(parameter)` for each defaulted parameter of a
+    function in `package` that no call in `callers` sets to a value other
+    than its default literal. Calls match by the called name: `f(...)`,
+    `x.f(...)`, or the class's name for `__init__`."""
+    calls = {}
+    for src in callers:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return [f"{mod}.{name}({param})" for mod, src in sorted(package.items())
+            for name, param, position, default in _defaulted_parameters(ast.parse(src).body)
+            if not any(_sets(c, param, position, ast.dump(default))
+                       for c in calls.get(name, []))]
+
+
 def test_scan_flags_an_unused_import():
     src = "import os\nfrom json import dumps, loads as ld\n__all__ = ['dumps']\n"
     assert unused_imports(src) == ["ld (line 2)", "os (line 1)"]
@@ -125,6 +181,28 @@ def test_scan_flags_a_dead_private_name():
         "b": "from a import _Read\nimport a\nx = a._C\n",
     }
     assert dead_private_names(sources) == ["a._recursive", "a._B"]
+
+
+def test_scan_flags_a_one_value_parameter():
+    package = {"m": ("def f(a, b=1, *, c=None, d=2): pass\n"
+                     "def g(x=0): pass\n"
+                     "def h(y=0): pass\n"
+                     "class K:\n"
+                     "    def __init__(self, z=0): pass\n"
+                     "    def meth(self, w=0): pass\n"
+                     "    @staticmethod\n"
+                     "    def util(v=0): pass\n"
+                     "    def __eq__(self, other=None): pass\n")}
+    callers = ["f(0, 1, c=None)\nf(0, 5)\nobj.f(0, d=3)\n",   # b by position, d by keyword
+               "g(*args)\nK(z=4)\nk.meth(1)\nK.util(2)\n"]
+    assert one_value_parameters(package, callers) == ["m.f(c)", "m.h(y)"]
+
+
+def test_package_has_no_one_value_parameters():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for top in ("src", "perfbench", "tests")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    assert one_value_parameters(package, callers) == []
 
 
 def test_package_has_no_dead_private_names():

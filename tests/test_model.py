@@ -161,9 +161,9 @@ def test_forward_encodes_each_field_it_reads_once(strategy):
     model = CrossFiTModel(make_rng(13), micro_cfg(strategy=strategy))
     encoder, seen = model.encoder, []
 
-    def counting_encoder(x):
-        seen.append(x.data)
-        return encoder(x)
+    def counting_encoder(imgs):
+        seen.append(imgs)
+        return encoder(imgs)
 
     model.encoder = counting_encoder
     i1, i2, od1, od2 = rand_pair(14, n=2)
@@ -171,8 +171,7 @@ def test_forward_encodes_each_field_it_reads_once(strategy):
         model.forward_batch(i1, i2, od1, od2)
     want = {"single_field_1": [i1], "single_field_2": [i2]}.get(strategy, [i1, i2])
     assert len(seen) == len(want)
-    for got, imgs in zip(seen, want):
-        np.testing.assert_array_equal(got, np.moveaxis(imgs, 3, 1))
+    assert all(got is imgs for got, imgs in zip(seen, want))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def test_end_to_end_gradcheck_tiny():
     def fn():
         return model.loss_batch(i1, i2, od1, od2, [1])
 
-    err = gradcheck(fn, params, eps=1e-5, max_elems=25, rng=make_rng(99))
+    err = gradcheck(fn, params, max_elems=25, rng=make_rng(99))
     assert err < 1e-3, f"end-to-end gradient error {err:.3e}"
 
 

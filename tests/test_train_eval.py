@@ -21,6 +21,7 @@ from crossfit.synthdata import ArrayDataset, generate_dataset
 from crossfit.train_eval import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, CheckpointError, MetricsReport, TrainConfig, TrainingDiverged,
     NonFiniteOutputError, build_model_from_checkpoint, config_from_dict, evaluate,
+    finite_outputs,
     load_checkpoint, metrics_from_predictions,
     predict_dataset, quadratic_weighted_kappa, roc_auc_ovr, save_checkpoint, sgd_momentum_step,
     train, _average_ranks,
@@ -449,6 +450,12 @@ def test_evaluate_populates_report():
     assert rep.accuracy == recomputed
 
 
+def test_finite_outputs_counts_the_eyes_with_a_non_finite_output():
+    with pytest.raises(NonFiniteOutputError, match="for 1 of 2 eyes"):
+        finite_outputs(np.array([[0.0, np.inf], [1.0, 2.0]]))
+    assert finite_outputs(np.array([[0.0, 1.0], [1.0, 2.0]])) is None
+
+
 def test_predict_dataset_rejects_overflowing_outputs():
     model = micro_model(12)
     model.head.w.data[...] = 1e308          # finite, but the logits overflow
@@ -543,6 +550,20 @@ def test_checkpoint_with_momentum_tensors_loads(tmp_path):
     clone = build_model_from_checkpoint(load_checkpoint(path))
     for (name, a), (_, b) in zip(model.parameters(), clone.parameters()):
         np.testing.assert_array_equal(a.data.astype(np.float32), b.data, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_restored_parameters_share_no_memory_with_the_checkpoint(dtype):
+    """SGD updates each parameter in place, so a restored model must not
+    write through to the checkpoint it was loaded from."""
+    with ad.default_dtype_scope(dtype):
+        ckpt = Checkpoint.from_model(micro_model(31))
+        model = micro_model(32)
+    ckpt.restore(model)
+    for name, p in model.parameters():
+        stored = ckpt.tensors[f"param/{name}"]
+        assert p.data.dtype == dtype and not np.shares_memory(p.data, stored), name
+        np.testing.assert_array_equal(p.data, stored, err_msg=name)
 
 
 def test_checkpoint_restore_reproduces_predictions(tmp_path):
